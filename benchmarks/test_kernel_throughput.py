@@ -23,8 +23,13 @@ from repro.secagg.kernels import PhiloxPrg, Sha256CounterPrg
 from repro.secagg.shamir import LimbShares
 from repro.secagg.wire import (
     PROTOCOL_V1,
-    WIRE_CODECS,
+    MaskedInput,
+    SealedShares,
     UnmaskColumns,
+    encode_masked_input,
+    encode_message,
+    encode_sealed_matrix,
+    encode_unmask_columns,
     intern_header,
     route_sealed_stack,
 )
@@ -183,10 +188,38 @@ WIRE_ROSTER = 96
 WIRE_CIPHERTEXT = 33
 
 
+def _encode_bulk_legs_per_frame(recipients, ciphertexts, vector, columns,
+                                header):
+    """Reference: the three bulk legs through the per-frame encoder."""
+    return (
+        b"".join(
+            encode_message(
+                SealedShares(
+                    sender=1,
+                    recipient=recipient,
+                    ciphertext=ciphertexts[position].tobytes(),
+                ),
+                header,
+            )
+            for position, recipient in enumerate(recipients)
+        ),
+        encode_message(MaskedInput(sender=1, vector=vector), header),
+        encode_message(columns.to_response(), header),
+    )
+
+
+def _encode_bulk_legs_batched(recipients, ciphertexts, vector, columns,
+                              header):
+    return (
+        encode_sealed_matrix(1, recipients, ciphertexts, header),
+        encode_masked_input(1, vector, header),
+        encode_unmask_columns(columns, header),
+    )
+
+
 def test_wire_codec_throughput(emit, bench_rng):
-    """Frames/sec: scalar vs batched codec on the three bulk legs."""
+    """Frames/sec: per-frame reference vs batched encoders, bulk legs."""
     header = intern_header(PROTOCOL_V1, "sha256-ctr")
-    scalar, batched = WIRE_CODECS["scalar"], WIRE_CODECS["batched"]
     recipients = list(range(1, WIRE_ROSTER + 1))
     ciphertexts = bench_rng.integers(
         0, 256, size=(WIRE_ROSTER, WIRE_CIPHERTEXT), dtype=np.uint8
@@ -201,29 +234,26 @@ def test_wire_codec_throughput(emit, bench_rng):
         ),
         key_shares={0: LimbShares(x=1, ys=(5, 6))},
     )
+    args = (recipients, ciphertexts, vector, columns, header)
+    paths = {
+        "scalar": _encode_bulk_legs_per_frame,
+        "batched": _encode_bulk_legs_batched,
+    }
+    assert paths["batched"](*args) == paths["scalar"](*args)
     times = {}
-    for codec in (scalar, batched):
-        times[codec.name] = _best_of(
-            5,
-            lambda c=codec: (
-                c.encode_sealed_matrix(1, recipients, ciphertexts, header),
-                c.encode_masked_input(1, vector, header),
-                c.encode_unmask_columns(columns, header),
-            ),
-        )
+    for name, encode in paths.items():
+        times[name] = _best_of(5, lambda encode=encode: encode(*args))
         frames = WIRE_ROSTER + 2
         emit(
-            f"kernel_wire codec={codec.name:8s} roster={WIRE_ROSTER} "
-            f"frames_per_sec={frames / times[codec.name]:10.1f}",
+            f"kernel_wire codec={name:8s} roster={WIRE_ROSTER} "
+            f"frames_per_sec={frames / times[name]:10.1f}",
             RESULTS_FILE,
         )
-    # The batched codec exists to be faster on the quadratic leg; 1.5x
+    # The batched encoders exist to be faster on the quadratic leg; 1.5x
     # slack tolerates timer noise, not a rerouted hot path.
     assert times["batched"] <= times["scalar"] * 1.5
 
-    datagram = batched.encode_sealed_matrix(
-        1, recipients, ciphertexts, header
-    )
+    datagram = encode_sealed_matrix(1, recipients, ciphertexts, header)
     frame_len = len(datagram) // WIRE_ROSTER
     stack = np.stack(
         [

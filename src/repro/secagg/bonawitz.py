@@ -77,7 +77,6 @@ from repro.secagg.keys import (
     key_bits,
     warm_agreement_cache,
 )
-from repro.secagg.prg import expand_mask
 from repro.secagg.protocol import _validate_inputs
 from repro.secagg.shamir import (
     DEFAULT_LIMB_BITS,
@@ -91,10 +90,8 @@ from repro.secagg.shamir import (
 
 from repro.secagg.wire import (
     Advertise,
-    SealedShares,
     UnmaskColumns,
     UnmaskRequest,
-    UnmaskResponse,
     WireStats,
 )
 
@@ -110,6 +107,30 @@ _SEED_WIDTH = 16  # bytes used to serialise a self-mask seed for the PRG
 #: message types live in :mod:`repro.secagg.wire` (typed, versioned,
 #: byte-serializable); this alias keeps the historical name.
 AdvertisedKeys = Advertise
+
+
+def _payload_width(field: PrimeField) -> int:
+    """Per-value byte width of a share payload.
+
+    Share values fit 8 bytes whenever the field fits uint64 (every
+    default configuration — it halves the envelope keystream); the
+    wide layout covers exotic fields up to ``2^128``.
+    """
+    return 8 if field.prime <= (1 << 64) else 16
+
+
+def _group_limbs(group: KeyAgreementGroup) -> int:
+    """Limbs a mask private key is padded to for Shamir sharing."""
+    return -(-key_bits(group) // DEFAULT_LIMB_BITS)
+
+
+def envelope_length(field: PrimeField, group: KeyAgreementGroup) -> int:
+    """Byte length of every round-1 envelope for this field and group.
+
+    The payload width is fixed by the field and the key limb count by
+    the group, so all envelopes of a round share this one length.
+    """
+    return 6 + _payload_width(field) * (1 + _group_limbs(group))
 
 
 def _encode_payload(
@@ -287,9 +308,7 @@ class BonawitzClient:
         self._group = group
         self._field = field
         self._mask_prg = get_mask_prg(mask_prg)
-        # Share values fit 8 bytes whenever the field fits uint64; the
-        # wide layout covers exotic fields up to 2^128.
-        self._payload_width = 8 if field.prime <= (1 << 64) else 16
+        self._payload_width = _payload_width(field)
         self._channel_keys = None  # type: KeyPair | None
         self._mask_keys = None  # type: KeyPair | None
         self._roster: dict[int, AdvertisedKeys] = {}
@@ -323,40 +342,25 @@ class BonawitzClient:
             self._channel_key_cache[peer] = key
         return key
 
-    def share_keys(self, roster: dict[int, AdvertisedKeys]) -> list[SealedShares]:
-        """Round 1: sample ``b_u`` and distribute sealed shares.
+    def share_keys_matrix(
+        self, roster: dict[int, AdvertisedKeys]
+    ) -> tuple[tuple[int, ...], np.ndarray]:
+        """Round 1: sample ``b_u`` and seal its shares for every peer.
 
         Args:
             roster: The server's broadcast of all round-0 messages.
 
         Returns:
-            One sealed envelope per roster member (self included).
+            ``(recipients, sealed)`` where row ``i`` of the ``(n, L)``
+            uint8 matrix is the envelope bound for ``recipients[i]``,
+            the sorted roster (self included; the self-addressed row is
+            unsealed).  Every row has :func:`envelope_length` bytes.
+            The wire layer turns this into one uniform frame stream
+            without constructing quadratically many envelope objects.
 
         Raises:
             AggregationError: If the roster is smaller than the threshold
                 or does not contain this client.
-        """
-        recipients, sealed = self.share_keys_matrix(roster)
-        return [
-            SealedShares(
-                sender=self.index,
-                recipient=recipient,
-                ciphertext=sealed[position].tobytes(),
-            )
-            for position, recipient in enumerate(recipients)
-        ]
-
-    def share_keys_matrix(
-        self, roster: dict[int, AdvertisedKeys]
-    ) -> tuple[tuple[int, ...], np.ndarray]:
-        """Columnar :meth:`share_keys`: the envelope matrix itself.
-
-        Returns:
-            ``(recipients, sealed)`` where row ``i`` of the ``(n, L)``
-            uint8 matrix is the ciphertext bound for ``recipients[i]``
-            (the self-addressed row is unsealed, as in the object path).
-            The wire layer turns this into one uniform frame stream
-            without constructing quadratically many envelope objects.
         """
         if self._channel_keys is None or self._mask_keys is None:
             raise AggregationError("share_keys called before advertise_keys")
@@ -386,8 +390,7 @@ class BonawitzClient:
         # then share one byte length, so share deliveries are uniform
         # frame streams the wire layer bulk-decodes in one numpy pass.
         # (Zero limbs share and reconstruct like any other value.)
-        group_limbs = -(-key_bits(self._group) // DEFAULT_LIMB_BITS)
-        limbs += [0] * (group_limbs - len(limbs))
+        limbs += [0] * (_group_limbs(self._group) - len(limbs))
         share_matrix = split_secrets(
             [self._self_seed] + limbs,
             self._threshold,
@@ -458,81 +461,38 @@ class BonawitzClient:
         )
         return recipients, sealed
 
-    def receive_shares(self, envelopes: list[SealedShares]) -> None:
-        """Store the round-1 envelopes addressed to this client.
-
-        All peer envelopes are opened with one batched keystream and
-        decoded with one vectorised payload parse.
-        """
-        for envelope in envelopes:
-            if envelope.recipient != self.index:
-                raise AggregationError(
-                    f"client {self.index} received an envelope for "
-                    f"{envelope.recipient}"
-                )
-        peer_envelopes = [
-            envelope
-            for envelope in envelopes
-            if envelope.sender != self.index
-        ]
-        for envelope in envelopes:
-            if envelope.sender == self.index:
-                self._received[envelope.sender] = _decode_payload(
-                    envelope.ciphertext, self._payload_width
-                )
-        # Envelope lengths are uniform per group (fixed limb padding),
-        # but bucket defensively so mixed-length streams still open.
-        buckets: dict[int, list[SealedShares]] = {}
-        for envelope in peer_envelopes:
-            buckets.setdefault(len(envelope.ciphertext), []).append(envelope)
-        for length, bucket in buckets.items():
-            ciphertexts = np.frombuffer(
-                b"".join(envelope.ciphertext for envelope in bucket),
-                dtype=np.uint8,
-            ).reshape(len(bucket), length)
-            self._open_envelope_matrix(
-                [envelope.sender for envelope in bucket], ciphertexts
-            )
-
-    def _open_envelope_matrix(
-        self, senders: list[int], ciphertexts: np.ndarray
-    ) -> None:
-        """Open equal-length peer envelopes in one batched sweep."""
-        streams = keystream_batch(
-            [self._channel_key(sender) for sender in senders],
-            ciphertexts.shape[1],
-        )
-        decoded = _decode_payload_matrix(
-            np.bitwise_xor(ciphertexts, streams), self._payload_width
-        )
-        for sender, shares in zip(senders, decoded):
-            self._received[sender] = shares
-
     def receive_share_matrix(
         self, senders: list[int], ciphertexts: np.ndarray
     ) -> None:
-        """Columnar :meth:`receive_shares`: one uniform ciphertext matrix.
+        """Store the round-1 envelopes addressed to this client.
 
         The wire layer's bulk decoder hands the routed mailbox over as
-        sender ids plus an ``(n, L)`` uint8 ciphertext matrix; this
-        opens every peer envelope in one batched keystream sweep with no
-        per-envelope objects.  Behaviour (including the self-envelope
-        shortcut) matches :meth:`receive_shares` exactly.
+        sender ids plus an ``(n, L)`` uint8 ciphertext matrix; every peer
+        envelope is opened with one batched keystream and decoded with
+        one vectorised payload parse.  The self-addressed row is plain.
         """
-        peer_rows = [
-            row for row, sender in enumerate(senders)
-            if sender != self.index
-        ]
+        peer_senders = []
+        peer_rows = []
         for row, sender in enumerate(senders):
             if sender == self.index:
                 self._received[sender] = _decode_payload(
                     ciphertexts[row].tobytes(), self._payload_width
                 )
-        if peer_rows:
-            self._open_envelope_matrix(
-                [senders[row] for row in peer_rows],
-                np.ascontiguousarray(ciphertexts[peer_rows]),
-            )
+            else:
+                peer_senders.append(sender)
+                peer_rows.append(row)
+        if not peer_rows:
+            return
+        streams = keystream_batch(
+            [self._channel_key(sender) for sender in peer_senders],
+            ciphertexts.shape[1],
+        )
+        decoded = _decode_payload_matrix(
+            np.bitwise_xor(ciphertexts[peer_rows], streams),
+            self._payload_width,
+        )
+        for sender, shares in zip(peer_senders, decoded):
+            self._received[sender] = shares
 
     def masked_input(self, participants: frozenset[int]) -> np.ndarray:
         """Round 2: upload the doubly masked input vector.
@@ -582,36 +542,23 @@ class BonawitzClient:
                 f"no shares held for clients {sorted(unknown)}"
             )
 
-    def unmask(self, request: UnmaskRequest) -> UnmaskResponse:
-        """Round 3: reveal the requested shares.
+    def unmask_columns(self, request: UnmaskRequest) -> UnmaskColumns:
+        """Round 3: reveal the requested shares, as columns.
 
         The client enforces the protocol's core security rule: it refuses
         any request naming the same peer as both survivor and dropout,
         because revealing both ``b_v`` and ``s_v^SK`` would let the server
         unmask ``v``'s individual input.
 
+        Returns:
+            The seed shares of the sorted survivors as parallel arrays
+            (no per-survivor ``Share`` objects), plus the key shares of
+            every announced dropout.
+
         Raises:
             AggregationError: On an overlapping (malicious) request or a
                 request naming peers this client never received shares
                 from.
-        """
-        self._check_unmask_request(request)
-        return UnmaskResponse(
-            responder=self.index,
-            seed_shares={
-                v: self._received[v][0] for v in sorted(request.survivors)
-            },
-            key_shares={
-                v: self._received[v][1] for v in sorted(request.dropouts)
-            },
-        )
-
-    def unmask_columns(self, request: UnmaskRequest) -> UnmaskColumns:
-        """Columnar :meth:`unmask`: same checks, arrays instead of dicts.
-
-        Encodes (and the server recovers) without per-survivor ``Share``
-        objects; :meth:`UnmaskColumns.to_response` of the result equals
-        :meth:`unmask` of the same request exactly.
         """
         self._check_unmask_request(request)
         survivors = sorted(request.survivors)
@@ -713,7 +660,6 @@ class BonawitzServer:
         self._group = group
         self._mask_prg = get_mask_prg(mask_prg)
         self._roster: dict[int, AdvertisedKeys] = {}
-        self._mailbox: dict[int, list[SealedShares]] = {}
         self._share_senders: frozenset[int] = frozenset()
         self._masked: dict[int, np.ndarray] = {}
 
@@ -736,48 +682,13 @@ class BonawitzServer:
         self._roster = roster
         return dict(roster)
 
-    def route_shares(
-        self, envelopes_by_sender: dict[int, list[SealedShares]]
-    ) -> dict[int, list[SealedShares]]:
-        """Round 1: forward sealed envelopes to their recipients.
-
-        Returns:
-            Mailbox mapping recipient index to its incoming envelopes.
-
-        Raises:
-            AggregationError: If fewer than ``threshold`` clients shared
-                keys.
-        """
-        if len(envelopes_by_sender) < self._threshold:
-            raise AggregationError(
-                f"only {len(envelopes_by_sender)} clients shared keys; "
-                f"threshold is {self._threshold}"
-            )
-        self._share_senders = frozenset(envelopes_by_sender)
-        mailbox: dict[int, list[SealedShares]] = {}
-        for sender, envelopes in envelopes_by_sender.items():
-            for envelope in envelopes:
-                if envelope.sender != sender:
-                    raise AggregationError(
-                        f"envelope claims sender {envelope.sender} but came "
-                        f"from {sender}"
-                    )
-                mailbox.setdefault(envelope.recipient, []).append(envelope)
-        # Only deliver to clients that themselves completed round 1.
-        self._mailbox = {
-            recipient: sorted(items, key=lambda e: e.sender)
-            for recipient, items in mailbox.items()
-            if recipient in self._share_senders
-        }
-        return dict(self._mailbox)
-
     def register_share_keys(self, senders: "Iterable[int]") -> frozenset[int]:
-        """Columnar :meth:`route_shares` prologue: record ``U1`` only.
+        """Round 1: record ``U1``, the clients that shared keys.
 
-        The wire layer's columnar router forwards raw frame spans
-        itself, so no envelope objects reach the crypto server; this
-        still owns the threshold check and the ``U1`` set the later
-        phases validate against.
+        The server session routes the sealed envelopes itself, as raw
+        frame spans the crypto server never opens; this owns the
+        threshold check and the ``U1`` set the later phases validate
+        against.
 
         Raises:
             AggregationError: If fewer than ``threshold`` clients shared
@@ -830,27 +741,24 @@ class BonawitzServer:
         dropouts = self._share_senders - survivors
         return UnmaskRequest(survivors=survivors, dropouts=frozenset(dropouts))
 
-    def recover_sum(
-        self, responses: "list[UnmaskResponse | UnmaskColumns]"
-    ) -> np.ndarray:
+    def recover_sum(self, responses: list[UnmaskColumns]) -> np.ndarray:
         """Round 3: reconstruct missing masks and output the modular sum.
 
         All survivor seeds are reconstructed in one shared-weight batch
         (the responder set — hence the Lagrange weights — is the same
         for every survivor), and all lingering masks are removed with
-        one batched signed-mask expansion.  Responses may arrive as
-        per-peer :class:`~repro.secagg.wire.UnmaskResponse` objects or
-        columnar :class:`~repro.secagg.wire.UnmaskColumns`; when the
-        whole quorum is columnar over the same survivor roster, the seed
-        matrix assembles as one transpose instead of
-        O(survivors × threshold) dict lookups.
+        one batched signed-mask expansion.  Every response's seed column
+        is in sorted-survivor order, so the per-survivor share rows are
+        one stack-and-transpose away (``ys`` may be uint64 or, for
+        fields beyond 64 bits, dtype=object).
 
         Returns:
             ``Σ_{u ∈ U2} x_u mod m`` as a length-``d`` int64 array.
 
         Raises:
-            AggregationError: If fewer than ``threshold`` responses arrive
-                or shares are inconsistent.
+            AggregationError: If fewer than ``threshold`` responses
+                arrive, or a response does not hold exactly the seed
+                shares of ``U2`` and key shares of every dropout.
         """
         if len(responses) < self._threshold:
             raise AggregationError(
@@ -860,6 +768,15 @@ class BonawitzServer:
         survivors = sorted(self._masked)
         dropouts = sorted(self._share_senders - set(self._masked))
         quorum = responses[: self._threshold]
+        expected = np.asarray(survivors, dtype=np.uint32)
+        for response in quorum:
+            if not np.array_equal(response.peers, expected) or sorted(
+                response.key_shares
+            ) != dropouts:
+                raise AggregationError(
+                    f"unmask response from client {response.responder} "
+                    "does not match the survivors and dropouts"
+                )
         total = np.zeros(self._dimension, dtype=np.int64)
         for vector in self._masked.values():
             total = np.mod(total + vector, self._modulus)
@@ -867,44 +784,10 @@ class BonawitzServer:
         # share points are the quorum's Shamir indices for all of them.
         mask_seeds: list[bytes] = []
         if survivors:
-            uniform = all(
-                isinstance(response, UnmaskColumns)
-                and response.ys.dtype != object
-                for response in quorum
-            )
-            if uniform:
-                expected = np.asarray(survivors, dtype=np.uint32)
-                uniform = all(
-                    response.peers.shape == expected.shape
-                    and np.array_equal(response.peers, expected)
-                    for response in quorum
-                )
-            if uniform:
-                # Columnar fast path: each response's seed column is
-                # already in sorted-survivor order, so the per-survivor
-                # share rows are one stack-and-transpose away.
-                seed_rows = np.stack(
-                    [response.ys for response in quorum]
-                ).T.tolist()
-                seed_xs = [int(response.xs[0]) for response in quorum]
-            else:
-                materialized = [
-                    response.to_response()
-                    if isinstance(response, UnmaskColumns)
-                    else response
-                    for response in quorum
-                ]
-                seed_rows = [
-                    [
-                        response.seed_shares[survivor].y
-                        for response in materialized
-                    ]
-                    for survivor in survivors
-                ]
-                seed_xs = [
-                    response.seed_shares[survivors[0]].x
-                    for response in materialized
-                ]
+            seed_rows = np.stack(
+                [response.ys for response in quorum]
+            ).T.tolist()
+            seed_xs = [int(response.xs[0]) for response in quorum]
             seeds = reconstruct_secrets(seed_xs, seed_rows, self._field)
             mask_seeds = [
                 seed.to_bytes(_SEED_WIDTH, "little") for seed in seeds
@@ -970,7 +853,6 @@ def run_bonawitz(
     dropouts: dict[int, int] | None = None,
     field: PrimeField = DEFAULT_FIELD,
     mask_prg: MaskPrg | str | None = None,
-    wire_codec: str | None = None,
 ) -> AggregationOutcome:
     """Execute the full four-round protocol over simulated clients.
 
@@ -991,9 +873,6 @@ def run_bonawitz(
             round (0-3) at which that client stops responding.
         field: Shamir sharing field.
         mask_prg: Mask PRG backend shared by all participants.
-        wire_codec: Wire codec backend name (``"scalar"``/``"batched"``);
-            ``None`` uses the process default.  Output bytes and digests
-            are identical either way.
 
     Returns:
         The aggregation outcome.
@@ -1035,13 +914,11 @@ def run_bonawitz(
             group=group,
             field=field,
             mask_prg=mask_prg,
-            wire_codec=wire_codec,
         )
         for i in range(num_clients)
     }
     server = ServerSession(
-        modulus, dimension, threshold, field, group, mask_prg,
-        wire_codec=wire_codec,
+        modulus, dimension, threshold, field, group, mask_prg
     )
 
     # Phase 0 — every live client opens with Hello + Advertise.

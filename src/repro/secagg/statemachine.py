@@ -63,6 +63,7 @@ from repro.secagg.bonawitz import (
     ROUND_UNMASK,
     BonawitzClient,
     BonawitzServer,
+    envelope_length,
 )
 from repro.secagg.field import DEFAULT_FIELD, PrimeField
 from repro.secagg.kernels import MaskPrg
@@ -81,7 +82,6 @@ from repro.secagg.wire import (
     Message,
     NegotiatedHeader,
     Reject,
-    ScalarWireCodec,
     SealedShares,
     UnmaskColumns,
     UnmaskRequest,
@@ -89,9 +89,11 @@ from repro.secagg.wire import (
     WireStats,
     decode_frames,
     decode_sealed_columns,
-    decode_sealed_datagram,
+    decode_unmask_columns,
+    encode_masked_input,
     encode_message,
-    get_wire_codec,
+    encode_sealed_matrix,
+    encode_unmask_columns,
     intern_header,
     iter_frames,
     route_sealed_stack,
@@ -144,10 +146,6 @@ class ClientSession:
         version: Protocol version to propose at Hello.
         metrics: Optional registry for frame/rejection counters; the
             default collects nothing.
-        wire_codec: Wire codec backend — a name from
-            :data:`~repro.secagg.wire.WIRE_CODECS`, an instance, or
-            ``None`` for the process default (normally ``"batched"``).
-            Both codecs emit identical bytes.
     """
 
     def __init__(
@@ -162,13 +160,11 @@ class ClientSession:
         mask_prg: MaskPrg | str | None = None,
         version: int = PROTOCOL_V1,
         metrics: MetricsRegistry | None = None,
-        wire_codec: "str | ScalarWireCodec | None" = None,
     ) -> None:
         # A client configured for x25519 without the optional
         # `cryptography` package degrades to the toy DH group *before*
         # proposing a suite, so negotiation stays clean either way.
         group = resolve_group(group)
-        self._codec = get_wire_codec(wire_codec)
         self._crypto = BonawitzClient(
             index=index,
             vector=vector,
@@ -238,7 +234,8 @@ class ClientSession:
 
         The datagram may hold several concatenated frames (the roster
         broadcast, a mailbox of sealed envelopes); it must be
-        homogeneous, as the server's broadcasts are.
+        homogeneous, as the server's broadcasts are.  A mailbox is
+        accepted only as one uniform sealed stream.
 
         Raises:
             AggregationError: On a protocol violation — including the
@@ -252,8 +249,9 @@ class ClientSession:
                 f"client {self.index} was rejected at Hello and holds no "
                 "round state"
             )
-        # The routed mailbox is the quadratic inbound leg; bulk-decode it
-        # columnar when it has the homogeneous shape.
+        # The routed mailbox is the quadratic inbound leg: bulk-decode
+        # it columnar.  Sealed frames in any other shape fall through to
+        # the refusal at the end.
         columns = decode_sealed_columns(data)
         if columns is not None:
             header, senders, recipients, ciphertexts, _ = columns
@@ -272,11 +270,7 @@ class ClientSession:
             participants = frozenset(senders)
             masked = self._crypto.masked_input(participants)
             self._count_frames(len(senders), 1)
-            return [
-                self._codec.encode_masked_input(
-                    self.index, masked, self.header
-                )
-            ]
+            return [encode_masked_input(self.index, masked, self.header)]
         frames = decode_frames(data)
         if not frames:
             return []
@@ -306,20 +300,10 @@ class ClientSession:
             recipients, sealed = self._crypto.share_keys_matrix(roster)
             self._count_frames(len(frames), len(recipients))
             return [
-                self._codec.encode_sealed_matrix(
+                encode_sealed_matrix(
                     self.index, recipients, sealed, self.header
                 )
             ]
-        if isinstance(first, SealedShares):
-            envelopes = []
-            for _, message in frames:
-                if not isinstance(message, SealedShares):
-                    raise AggregationError(
-                        "mixed message types in a share delivery"
-                    )
-                envelopes.append(message)
-            self._count_frames(len(frames), 1)
-            return self._handle_share_delivery(envelopes)
         if isinstance(first, UnmaskRequest):
             if len(frames) != 1:
                 raise AggregationError(
@@ -327,23 +311,11 @@ class ClientSession:
                 )
             columns = self._crypto.unmask_columns(first)
             self._count_frames(1, 1)
-            return [self._codec.encode_unmask_columns(columns, self.header)]
+            return [encode_unmask_columns(columns, self.header)]
         raise AggregationError(
             f"client {self.index} cannot handle inbound "
             f"{type(first).__name__}"
         )
-
-    def _handle_share_delivery(
-        self, envelopes: list[SealedShares]
-    ) -> list[bytes]:
-        self._crypto.receive_shares(envelopes)
-        # U1 is derivable from the delivery itself: the server routes
-        # one envelope per round-1 completer (self included).
-        participants = frozenset(envelope.sender for envelope in envelopes)
-        masked = self._crypto.masked_input(participants)
-        return [
-            self._codec.encode_masked_input(self.index, masked, self.header)
-        ]
 
 
 class ServerSession:
@@ -382,12 +354,6 @@ class ServerSession:
             replacing the contribution.  Off by default: the in-memory
             transports are loss-free, and there a duplicate is a
             protocol violation worth raising on.
-        wire_codec: Wire codec backend — a name from
-            :data:`~repro.secagg.wire.WIRE_CODECS`, an instance, or
-            ``None`` for the process default (normally ``"batched"``).
-            A columnar codec keeps bulk uploads as raw frame spans and
-            routes them array-at-a-time; bytes on the wire are
-            identical either way.
     """
 
     def __init__(
@@ -403,17 +369,16 @@ class ServerSession:
         | None = None,
         metrics: MetricsRegistry | None = None,
         resumable: bool = False,
-        wire_codec: "str | ScalarWireCodec | None" = None,
     ) -> None:
         if not accept_versions:
             raise ConfigurationError(
                 "the server must accept at least one protocol version"
             )
         group = resolve_group(group)
-        self._codec = get_wire_codec(wire_codec)
         self._crypto = BonawitzServer(
             modulus, dimension, threshold, field, group, mask_prg
         )
+        self._envelope_length = envelope_length(field, group)
         self._threshold = threshold
         self.header = intern_header(
             max(accept_versions),
@@ -428,19 +393,18 @@ class ServerSession:
         self._phase = ROUND_ADVERTISE
         self._hellos: dict[int, NegotiatedHeader] = {}
         self._advertisements: dict[int, Advertise] = {}
-        self._envelopes: dict[int, list[SealedShares]] = {}
-        # Raw frame span per (sender, recipient): routed envelopes are
-        # forwarded verbatim, so the original bytes are reused instead
-        # of re-encoding quadratically many frames.
-        self._envelope_raw: dict[tuple[int, int], "memoryview | bytes"] = {}
-        # Columnar upload store (columnar codecs only): per sender, the
-        # recipient roster, the raw datagram, and the per-frame length.
-        # Frames stay bytes until routing transposes them wholesale.
-        self._sealed_columns: dict[int, tuple[tuple[int, ...], bytes, int]] = {}
+        # The sorted round-0 roster: every share-keys upload addresses
+        # exactly these recipients, in this order.
+        self._roster: tuple[int, ...] = ()
+        # Share-keys uploads, per sender, as the raw datagram: frames
+        # stay bytes until routing transposes them wholesale.
+        self._sealed: dict[int, bytes] = {}
         self._masked: dict[int, np.ndarray] = {}
-        self._responses: dict[int, "UnmaskResponse | UnmaskColumns"] = {}
+        self._responses: dict[int, UnmaskColumns] = {}
         self._expected: frozenset[int] = frozenset()
         self._request: UnmaskRequest | None = None
+        self._unmask_peers = np.empty(0, dtype=np.uint32)
+        self._unmask_dropouts: list[int] = []
         self._modular_sum: np.ndarray | None = None
         self.resumable = resumable
         # Replay buffer: per recipient, every datagram this session has
@@ -499,12 +463,9 @@ class ServerSession:
         """Senders that already delivered in the current phase."""
         if self._phase == PHASE_DONE:
             return frozenset()
-        if self._phase == ROUND_SHARE_KEYS:
-            return frozenset(self._envelopes) | frozenset(
-                self._sealed_columns
-            )
         tables = {
             ROUND_ADVERTISE: self._advertisements,
+            ROUND_SHARE_KEYS: self._sealed,
             ROUND_MASKED_INPUT: self._masked,
             ROUND_UNMASK: self._responses,
         }
@@ -557,133 +518,106 @@ class ServerSession:
             )
         if self.resumable and self._guard_redelivery(sender, data):
             return
+        # The bulk legs are ingested only in their columnar shape; any
+        # other datagram takes the generic per-frame path, where frames
+        # of the wrong phase or shape meet their typed refusal.
+        messages = None
         if self._phase == ROUND_SHARE_KEYS:
-            # Columnar codecs keep the quadratic upload as one raw
-            # datagram: validate the sender column, stash the bytes, and
-            # let routing transpose the stack without ever building a
-            # SealedShares object.  A sender that already delivered
-            # through the object path (or piecemeal) falls through so
-            # append semantics stay intact.
-            if (
-                self._codec.columnar
-                and sender not in self._envelopes
-                and sender not in self._sealed_columns
-            ):
-                columns = decode_sealed_columns(data)
-                if columns is not None:
-                    header, senders, recipients, _, frame_len = columns
-                    if header is not self.header and header != self.header:
-                        raise NegotiationError(
-                            f"client {sender} sent a frame speaking "
-                            f"{header} into a round negotiated at "
-                            f"{self.header}"
-                        )
-                    for claimed in senders:
-                        if claimed != sender:
-                            raise AggregationError(
-                                f"frame claims sender {claimed} but "
-                                f"came from {sender}"
-                            )
-                    self._require_expected(sender)
-                    self._sealed_columns[sender] = (
-                        tuple(recipients),
-                        bytes(data),
-                        frame_len,
-                    )
-                    self.stats.record_upload(
-                        self.phase_tag,
-                        sender,
-                        len(data),
-                        messages=len(recipients),
-                    )
-                    if self._m_frames_in is not None and recipients:
-                        self._m_frames_in.inc(len(recipients))
-                    if self.resumable:
-                        self._upload_memo.setdefault(sender, {})[
-                            self._phase
-                        ] = bytes(data)
-                    return
-            bulk = decode_sealed_datagram(data)
-            if bulk is not None:
-                header, envelopes, raws = bulk
-                if header is not self.header and header != self.header:
-                    raise NegotiationError(
-                        f"client {sender} sent a frame speaking {header} "
-                        f"into a round negotiated at {self.header}"
-                    )
-                for envelope in envelopes:
-                    if envelope.sender != sender:
-                        raise AggregationError(
-                            f"frame claims sender {envelope.sender} but "
-                            f"came from {sender}"
-                        )
-                self._require_expected(sender)
-                self._envelopes.setdefault(sender, []).extend(envelopes)
-                for envelope, raw in zip(envelopes, raws):
-                    self._envelope_raw[
-                        (envelope.sender, envelope.recipient)
-                    ] = raw
-                self.stats.record_upload(
-                    self.phase_tag,
-                    sender,
-                    len(data),
-                    messages=len(envelopes),
-                )
-                if self._m_frames_in is not None and envelopes:
-                    self._m_frames_in.inc(len(envelopes))
-                if self.resumable:
-                    self._upload_memo.setdefault(sender, {})[
-                        self._phase
-                    ] = bytes(data)
-                return
-        if self._phase == ROUND_UNMASK:
-            # Columnar codecs parse the seed section straight into
-            # arrays; recover_sum consumes the columns without ever
-            # materializing per-survivor Share objects.
-            decoded = self._codec.decode_unmask(data)
-            if decoded is not None:
-                header, response_columns = decoded
-                if header is not self.header and header != self.header:
-                    raise NegotiationError(
-                        f"client {sender} sent a frame speaking {header} "
-                        f"into a round negotiated at {self.header}"
-                    )
-                if response_columns.responder != sender:
+            messages = self._receive_sealed(data, sender)
+        elif self._phase == ROUND_UNMASK:
+            messages = self._receive_unmask(data, sender)
+        if messages is None:
+            frames = iter_frames(data)
+            for header, message in frames:
+                claimed = self._sender_of(message)
+                if claimed != sender:
                     raise AggregationError(
-                        f"frame claims sender {response_columns.responder} "
-                        f"but came from {sender}"
+                        f"frame claims sender {claimed} but came from "
+                        f"{sender}"
                     )
-                self._require_expected(sender)
-                if sender in self._responses:
-                    raise AggregationError(
-                        f"duplicate unmask response from client {sender}"
-                    )
-                self._responses[sender] = response_columns
-                self.stats.record_upload(
-                    self.phase_tag, sender, len(data), messages=1
-                )
-                if self._m_frames_in is not None:
-                    self._m_frames_in.inc(1)
-                if self.resumable:
-                    self._upload_memo.setdefault(sender, {})[
-                        self._phase
-                    ] = bytes(data)
-                return
-        frames = iter_frames(data)
-        for header, message, raw in frames:
-            claimed = self._sender_of(message)
+                self._dispatch(header, message, claimed)
+            messages = len(frames)
+        self.stats.record_upload(
+            self.phase_tag, sender, len(data), messages=messages
+        )
+        if self._m_frames_in is not None and messages:
+            self._m_frames_in.inc(messages)
+        if self.resumable:
+            self._upload_memo.setdefault(sender, {})[self._phase] = bytes(data)
+
+    def _receive_sealed(self, data: bytes, sender: int) -> int | None:
+        """Stash one share-keys upload; returns its frame count.
+
+        The quadratic upload stays one raw datagram: the sender, roster
+        and envelope-length columns are validated here, and routing
+        transposes the stack without ever building a
+        :class:`~repro.secagg.wire.SealedShares` object.  Returns
+        ``None`` when the datagram is not a uniform sealed stream.
+        """
+        columns = decode_sealed_columns(data)
+        if columns is None:
+            return None
+        header, senders, recipients, ciphertexts, _ = columns
+        self._require_header(sender, header)
+        for claimed in senders:
             if claimed != sender:
                 raise AggregationError(
                     f"frame claims sender {claimed} but came from {sender}"
                 )
-            self._dispatch(header, message, claimed, raw)
-        self.stats.record_upload(
-            self.phase_tag, sender, len(data), messages=len(frames)
-        )
-        if self._m_frames_in is not None and frames:
-            self._m_frames_in.inc(len(frames))
-        if self.resumable:
-            self._upload_memo.setdefault(sender, {})[self._phase] = bytes(data)
+        self._require_expected(sender)
+        if sender in self._sealed:
+            raise AggregationError(
+                f"duplicate share-keys upload from client {sender}"
+            )
+        if tuple(recipients) != self._roster:
+            raise AggregationError(
+                f"client {sender} did not address its envelopes to the "
+                "round-0 roster in roster order"
+            )
+        if ciphertexts.shape[1] != self._envelope_length:
+            raise AggregationError(
+                f"client {sender} sent {ciphertexts.shape[1]}-byte "
+                f"envelopes; this round's are {self._envelope_length}"
+            )
+        self._sealed[sender] = bytes(data)
+        return len(recipients)
+
+    def _receive_unmask(self, data: bytes, sender: int) -> int | None:
+        """Take one unmask response as columns; returns its frame count.
+
+        The response must hold the seed shares of exactly the announced
+        survivors (sorted, as the columns are) and the key shares of
+        exactly the announced dropouts, so recovery can transpose the
+        quorum's columns as they are.  Returns ``None`` when the
+        datagram is not a lone unmask-response frame.
+        """
+        decoded = decode_unmask_columns(data)
+        if decoded is None:
+            return None
+        header, columns = decoded
+        self._require_header(sender, header)
+        if columns.responder != sender:
+            raise AggregationError(
+                f"frame claims sender {columns.responder} but came from "
+                f"{sender}"
+            )
+        self._require_expected(sender)
+        if sender in self._responses:
+            raise AggregationError(
+                f"duplicate unmask response from client {sender}"
+            )
+        if not np.array_equal(columns.peers, self._unmask_peers):
+            raise AggregationError(
+                f"unmask response from client {sender} does not hold the "
+                "seed shares of exactly the announced survivors"
+            )
+        if sorted(columns.key_shares) != self._unmask_dropouts:
+            raise AggregationError(
+                f"unmask response from client {sender} does not hold the "
+                "key shares of exactly the announced dropouts"
+            )
+        self._responses[sender] = columns
+        return 1
 
     def _guard_redelivery(self, sender: int, data: bytes) -> bool:
         """At-most-once guard; True when the datagram is a known re-send.
@@ -754,11 +688,7 @@ class ServerSession:
         )
 
     def _dispatch(
-        self,
-        header: NegotiatedHeader,
-        message: Message,
-        sender: int,
-        raw: bytes | None = None,
+        self, header: NegotiatedHeader, message: Message, sender: int
     ) -> None:
         if isinstance(message, Hello):
             if self._phase != ROUND_ADVERTISE:
@@ -818,21 +748,14 @@ class ServerSession:
             self._advertisements[sender] = message
             return
         # Post-negotiation phases: the header must match exactly.
-        if header is not self.header and header != self.header:
-            raise NegotiationError(
-                f"client {sender} sent a frame speaking {header} into a "
-                f"round negotiated at {self.header}"
+        self._require_header(sender, header)
+        if isinstance(message, (SealedShares, UnmaskResponse)):
+            # receive() takes these only in their columnar shape: one
+            # uniform sealed datagram, one lone unmask-response frame.
+            raise AggregationError(
+                f"{type(message).__name__} from client {sender} is not a "
+                f"columnar {self.phase_tag} upload"
             )
-        if isinstance(message, SealedShares):
-            if self._phase != ROUND_SHARE_KEYS:
-                raise AggregationError(
-                    "SealedShares outside the share-keys phase"
-                )
-            self._require_expected(sender)
-            self._envelopes.setdefault(sender, []).append(message)
-            if raw is not None:
-                self._envelope_raw[(message.sender, message.recipient)] = raw
-            return
         if isinstance(message, MaskedInput):
             if self._phase != ROUND_MASKED_INPUT:
                 raise AggregationError(
@@ -845,18 +768,6 @@ class ServerSession:
                 )
             self._masked[sender] = message.vector
             return
-        if isinstance(message, UnmaskResponse):
-            if self._phase != ROUND_UNMASK:
-                raise AggregationError(
-                    "UnmaskResponse outside the unmask phase"
-                )
-            self._require_expected(sender)
-            if sender in self._responses:
-                raise AggregationError(
-                    f"duplicate unmask response from client {sender}"
-                )
-            self._responses[sender] = message
-            return
         raise AggregationError(
             f"the server cannot ingest {type(message).__name__} frames"
         )
@@ -866,6 +777,13 @@ class ServerSession:
             self._m_negotiations.labels(outcome=outcome).inc()
             if reason is not None:
                 self._m_rejects.labels(reason=reason).inc()
+
+    def _require_header(self, sender: int, header: NegotiatedHeader) -> None:
+        if header is not self.header and header != self.header:
+            raise NegotiationError(
+                f"client {sender} sent a frame speaking {header} into a "
+                f"round negotiated at {self.header}"
+            )
 
     def _require_expected(self, sender: int) -> None:
         if sender not in self._expected:
@@ -949,95 +867,38 @@ class ServerSession:
                 1,
             )
         self._expected = frozenset(roster)
+        self._roster = tuple(sorted(roster))
         return out
 
     def _close_share_keys(self) -> dict[int, tuple[bytes, int]]:
-        if self._sealed_columns and not self._envelopes:
-            routed = self._route_columns()
-            if routed is not None:
-                return routed
-        self._materialize_columns()
-        mailbox = self._crypto.route_shares(self._envelopes)
+        """Route the share-keys phase straight from the raw uploads.
 
-        def frame_of(envelope: SealedShares) -> bytes:
-            raw = self._envelope_raw.get(
-                (envelope.sender, envelope.recipient)
-            )
-            return (
-                raw
-                if raw is not None
-                else encode_message(envelope, self.header)
-            )
-
-        out = {
-            recipient: (
-                b"".join(frame_of(envelope) for envelope in envelopes),
-                len(envelopes),
-            )
-            for recipient, envelopes in mailbox.items()
-        }
-        self._envelope_raw.clear()
-        self._expected = frozenset(mailbox)
-        return out
-
-    def _route_columns(self) -> dict[int, tuple[bytes, int]] | None:
-        """Route the share-keys phase straight from raw frame spans.
-
-        Every columnar upload targets the same recipient roster with
-        the same frame length (the roster broadcast is shared and the
-        mask-key limb count is fixed per group), so the whole phase is
-        one ``(senders, recipients, frame)`` uint8 stack; a recipient's
-        mailbox is a plane of its transpose.  Returns ``None`` when the
-        uploads are not uniform — the caller then materializes them and
-        takes the object route (identical bytes, just slower).
+        Every upload addresses the same roster with the same envelope
+        length (both validated on receipt), so the whole phase is one
+        ``(senders, recipients, frame)`` uint8 stack; a recipient's
+        mailbox is a plane of its transpose.
         """
-        senders = sorted(self._sealed_columns)
-        roster, _, frame_len = self._sealed_columns[senders[0]]
-        if any(
-            stored[0] != roster or stored[2] != frame_len
-            for stored in self._sealed_columns.values()
-        ):
-            return None
+        senders = sorted(self._sealed)
         survivors = self._crypto.register_share_keys(senders)
-        stack = np.empty(
-            (len(senders), len(roster), frame_len), dtype=np.uint8
+        stack = np.stack(
+            [
+                np.frombuffer(self._sealed[sender], dtype=np.uint8).reshape(
+                    len(self._roster), -1
+                )
+                for sender in senders
+            ]
         )
-        for row, sender in enumerate(senders):
-            stack[row] = np.frombuffer(
-                self._sealed_columns[sender][1], dtype=np.uint8
-            ).reshape(len(roster), frame_len)
         routed = route_sealed_stack(stack)
         # Senders are pre-sorted, so each plane is already the
-        # sorted-by-sender join the object path would have produced.
+        # sorted-by-sender mailbox.
         out = {
             recipient: (routed[column].tobytes(), len(senders))
-            for column, recipient in enumerate(roster)
+            for column, recipient in enumerate(self._roster)
             if recipient in survivors
         }
-        self._sealed_columns.clear()
+        self._sealed.clear()
         self._expected = frozenset(out)
         return out
-
-    def _materialize_columns(self) -> None:
-        """Fold columnar uploads back into the object-path stores.
-
-        Taken when the phase mixed columnar and object deliveries (or
-        non-uniform rosters): correctness over speed.
-        """
-        for sender, (_, payload, _) in sorted(self._sealed_columns.items()):
-            decoded = decode_sealed_datagram(payload)
-            if decoded is None:  # pragma: no cover - stored post-validation
-                raise AggregationError(
-                    f"stored columnar upload from client {sender} no "
-                    "longer parses"
-                )
-            _, envelopes, raws = decoded
-            self._envelopes.setdefault(sender, []).extend(envelopes)
-            for envelope, raw in zip(envelopes, raws):
-                self._envelope_raw[
-                    (envelope.sender, envelope.recipient)
-                ] = raw
-        self._sealed_columns.clear()
 
     def _close_masked_input(self) -> dict[int, tuple[bytes, int]]:
         request = self._crypto.collect_masked_inputs(self._masked)
@@ -1045,6 +906,10 @@ class ServerSession:
             request = self._tamper(request)
             self.tampered = True
         self._request = request
+        self._unmask_peers = np.asarray(
+            sorted(request.survivors), dtype=np.uint32
+        )
+        self._unmask_dropouts = sorted(request.dropouts)
         payload = encode_message(request, self.header)
         out = {
             survivor: (payload, 1) for survivor in sorted(request.survivors)

@@ -38,6 +38,13 @@ integers that can exceed 64 bits (DH public keys, Shamir share values)
 use a minimal-length, length-prefixed little-endian encoding, keeping
 the format deterministic: equal messages encode to equal bytes.
 
+The three bulk legs have array-level codecs that the sessions use
+exclusively: :func:`encode_sealed_matrix` / :func:`decode_sealed_columns`
+(one sender's envelope matrix, one recipient's routed mailbox),
+:func:`encode_masked_input`, and :func:`encode_unmask_columns` /
+:func:`decode_unmask_columns`.  Their bytes are identical to
+:func:`encode_message` over the per-frame message objects.
+
 :class:`WireStats` is the per-round accounting ledger — message counts
 and serialized bytes per phase, per client, in both directions — that
 transports attach to their round outcomes.
@@ -46,16 +53,10 @@ transports attach to their round outcomes.
 from __future__ import annotations
 
 import dataclasses
-import os
 import struct
 from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
-
-try:  # Optional JIT for the bulk routing kernels; numpy otherwise.
-    import numba
-except ImportError:  # pragma: no cover - exercised where numba is absent
-    numba = None
 
 from repro.errors import AggregationError
 from repro.secagg.shamir import LimbShares, Share
@@ -372,12 +373,6 @@ class _Reader:
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "little")
 
-    def biguint(self) -> int:
-        width = self.u16()
-        if width == 0:
-            raise AggregationError("malformed wire frame: zero-width integer")
-        return int.from_bytes(self.take(width), "little")
-
     def done(self) -> bool:
         return self._pos == self._end
 
@@ -517,9 +512,13 @@ def _decode_body(msg_type: int, reader: _Reader) -> Message:
     elif msg_type == MSG_REJECT:
         client = reader.u32()
         length = reader.u16()
-        message = Reject(
-            client=client, reason=bytes(reader.take(length)).decode("utf-8")
-        )
+        try:
+            reason = bytes(reader.take(length)).decode("utf-8")
+        except UnicodeDecodeError:
+            raise AggregationError(
+                "malformed wire frame: non-UTF-8 reject reason"
+            ) from None
+        message = Reject(client=client, reason=reason)
     elif msg_type == MSG_WELCOME:
         message = Welcome(
             client=reader.u32(),
@@ -613,90 +612,7 @@ def _decode_fast(
             ).astype(np.int64),
         )
     if msg_type == MSG_UNMASK_RESPONSE:
-        from_bytes = int.from_bytes
-        cursor = start
-
-        def read_uint(width: int) -> int:
-            nonlocal cursor
-            if cursor + width > end:
-                raise AggregationError(
-                    "malformed wire frame: body truncated "
-                    f"({end - cursor} bytes left, {width} needed)"
-                )
-            value = from_bytes(view[cursor : cursor + width], "little")
-            cursor += width
-            return value
-
-        def read_biguint() -> int:
-            width = read_uint(2)
-            if width == 0:
-                raise AggregationError(
-                    "malformed wire frame: zero-width integer"
-                )
-            return read_uint(width)
-
-        responder = read_uint(4)
-        seed_count = read_uint(4)
-        seed_width = read_uint(1)
-        if seed_width not in (1, 2, 4, 8, 16):
-            raise AggregationError(
-                f"malformed wire frame: seed column width {seed_width}"
-            )
-        seed_shares: dict[int, Share] = {}
-        if seed_count:
-            columns = 8 + seed_width
-            if cursor + seed_count * columns > end:
-                raise AggregationError(
-                    "malformed wire frame: body truncated "
-                    f"({end - cursor} bytes left, "
-                    f"{seed_count * columns} needed)"
-                )
-            peers = np.frombuffer(
-                view, dtype="<u4", count=seed_count, offset=cursor
-            ).tolist()
-            cursor += 4 * seed_count
-            xs = np.frombuffer(
-                view, dtype="<u4", count=seed_count, offset=cursor
-            ).tolist()
-            cursor += 4 * seed_count
-            if seed_width <= 8:
-                ys = np.frombuffer(
-                    view,
-                    dtype=f"<u{seed_width}",
-                    count=seed_count,
-                    offset=cursor,
-                ).tolist()
-                cursor += seed_width * seed_count
-            else:
-                ys = [
-                    from_bytes(
-                        view[cursor + k * 16 : cursor + (k + 1) * 16],
-                        "little",
-                    )
-                    for k in range(seed_count)
-                ]
-                cursor += 16 * seed_count
-            seed_shares = {
-                peer: Share(x=x, y=y)
-                for peer, x, y in zip(peers, xs, ys)
-            }
-        key_shares: dict[int, LimbShares] = {}
-        for _ in range(read_uint(4)):
-            peer = read_uint(4)
-            x = read_uint(4)
-            num_limbs = read_uint(2)
-            key_shares[peer] = LimbShares(
-                x=x, ys=tuple(read_biguint() for _ in range(num_limbs))
-            )
-        if cursor != end:
-            raise AggregationError(
-                f"malformed wire frame: {end - cursor} trailing body bytes"
-            )
-        return UnmaskResponse(
-            responder=responder,
-            seed_shares=seed_shares,
-            key_shares=key_shares,
-        )
+        return _unmask_body(view, start, end).to_response()
     if msg_type == MSG_ADVERTISE:
         if end - start < 8:
             raise AggregationError(
@@ -778,6 +694,26 @@ def encode_sealed_matrix(
     return frames.tobytes()
 
 
+def encode_masked_input(
+    sender: int, vector: np.ndarray, header: NegotiatedHeader
+) -> bytes:
+    """Encode a round-2 masked-input frame straight from its vector.
+
+    Byte-identical to ``encode_message(MaskedInput(sender, vector),
+    header)``, without building the message object.
+    """
+    vector = np.ascontiguousarray(vector, dtype="<i8")
+    if vector.ndim != 1:
+        raise AggregationError(
+            f"masked input must be 1-d, got shape {vector.shape}"
+        )
+    return _frame(
+        MSG_MASKED_INPUT,
+        _MASKED_PREFIX.pack(sender, vector.shape[0]) + vector.tobytes(),
+        header,
+    )
+
+
 def decode_sealed_columns(
     data: bytes,
 ) -> tuple[NegotiatedHeader, list[int], list[int], np.ndarray, int] | None:
@@ -794,8 +730,7 @@ def decode_sealed_columns(
         ``(header, senders, recipients, ciphertext_matrix, frame_len)``
         where ``ciphertext_matrix`` is a zero-copy ``(n, L)`` uint8 view
         into ``data`` — or ``None`` whenever the datagram does not have
-        the homogeneous shape (callers fall back to :func:`iter_frames`;
-        results are identical either way).
+        the homogeneous shape.
 
     Raises:
         AggregationError: If the shape matches but a frame is corrupt.
@@ -841,39 +776,6 @@ def decode_sealed_columns(
         table[:, body:],
         length,
     )
-
-
-def decode_sealed_datagram(
-    data: bytes,
-) -> tuple[NegotiatedHeader, list[SealedShares], list[memoryview]] | None:
-    """Object-level view of :func:`decode_sealed_columns`.
-
-    Returns the decoded envelopes plus each frame's raw span (for
-    verbatim routing), or ``None`` when the datagram is not a
-    homogeneous sealed stream.
-    """
-    columns = decode_sealed_columns(data)
-    if columns is None:
-        return None
-    header, senders, recipients, ciphertext_matrix, frame_len = columns
-    ciphertext_len = ciphertext_matrix.shape[1]
-    ciphertexts = np.ascontiguousarray(ciphertext_matrix).tobytes()
-    envelopes = [
-        SealedShares(
-            sender=sender,
-            recipient=recipient,
-            ciphertext=ciphertexts[
-                row * ciphertext_len : (row + 1) * ciphertext_len
-            ],
-        )
-        for row, (sender, recipient) in enumerate(zip(senders, recipients))
-    ]
-    view = memoryview(data)
-    raws = [
-        view[row * frame_len : (row + 1) * frame_len]
-        for row in range(len(envelopes))
-    ]
-    return header, envelopes, raws
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -956,12 +858,11 @@ def decode_unmask_columns(
 
     Returns:
         ``(header, columns)``, or ``None`` when the datagram is not a
-        lone unmask-response frame (callers fall back to
-        :func:`iter_frames`; results are equivalent either way).
+        lone unmask-response frame.
 
     Raises:
         AggregationError: If the frame matches but its body is corrupt
-            (same errors as the scalar decoder).
+            (same errors as :func:`decode_frames`).
     """
     total = len(data)
     if total < _HEADER.size:
@@ -979,10 +880,22 @@ def decode_unmask_columns(
         return None
     header_size = _HEADER.size + prg_len
     header = intern_header(version, bytes(data[_HEADER.size : header_size]))
-    view = memoryview(data)
+    return header, _unmask_body(memoryview(data), header_size, total)
+
+
+def _unmask_body(view: memoryview, start: int, end: int) -> UnmaskColumns:
+    """Parse one unmask-response body (``view[start:end]``) into columns.
+
+    The seed section is columnar on the wire, so it comes back as
+    arrays (the peer and x columns as zero-copy views into ``view``);
+    the few per-dropout key shares are read into a dict.
+
+    Raises:
+        AggregationError: On truncation, a bad column width, a
+            zero-width integer, or trailing body bytes.
+    """
     from_bytes = int.from_bytes
-    cursor = header_size
-    end = total
+    cursor = start
 
     def read_uint(width: int) -> int:
         nonlocal cursor
@@ -1052,33 +965,13 @@ def decode_unmask_columns(
         raise AggregationError(
             f"malformed wire frame: {end - cursor} trailing body bytes"
         )
-    return header, UnmaskColumns(
+    return UnmaskColumns(
         responder=responder,
         peers=peers,
         xs=xs,
         ys=ys,
         key_shares=key_shares,
     )
-
-
-def _interleave_numpy(stack: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(stack.transpose(1, 0, 2))
-
-
-if numba is not None:  # pragma: no cover - container-dependent
-
-    @numba.njit(cache=True)
-    def _interleave_jit(stack):
-        senders, recipients, frame_len = stack.shape
-        out = np.empty((recipients, senders, frame_len), dtype=np.uint8)
-        for row in range(senders):
-            for col in range(recipients):
-                out[col, row] = stack[row, col]
-        return out
-
-    _interleave = _interleave_jit
-else:
-    _interleave = _interleave_numpy
 
 
 def route_sealed_stack(stack: np.ndarray) -> np.ndarray:
@@ -1088,151 +981,9 @@ def route_sealed_stack(stack: np.ndarray) -> np.ndarray:
     in column ``r`` (senders in sorted order, the recipient order shared
     by every sender).  The result's ``[r]`` plane is recipient ``r``'s
     whole mailbox, frames already in sorted-sender order — ``tobytes()``
-    of a plane is the exact datagram the per-envelope path would have
-    joined.  Runs as one contiguous transpose (numba-jitted when
-    available).
+    of a plane is the exact datagram a per-envelope join would build.
     """
-    return _interleave(stack)
-
-
-class ScalarWireCodec:
-    """Reference codec: every message through the per-frame encoder.
-
-    Kept selectable so CI can pin the batched kernels bit-identical to
-    this path on real round traffic.
-    """
-
-    name = "scalar"
-    #: Whether the server should keep bulk uploads columnar end to end.
-    columnar = False
-
-    def encode_sealed_matrix(
-        self,
-        sender: int,
-        recipients: Sequence[int],
-        ciphertexts: np.ndarray,
-        header: NegotiatedHeader,
-    ) -> bytes:
-        return b"".join(
-            encode_message(
-                SealedShares(
-                    sender=sender,
-                    recipient=recipient,
-                    ciphertext=ciphertexts[position].tobytes(),
-                ),
-                header,
-            )
-            for position, recipient in enumerate(recipients)
-        )
-
-    def encode_masked_input(
-        self, sender: int, vector: np.ndarray, header: NegotiatedHeader
-    ) -> bytes:
-        return encode_message(MaskedInput(sender=sender, vector=vector), header)
-
-    def encode_unmask_columns(
-        self, columns: UnmaskColumns, header: NegotiatedHeader
-    ) -> bytes:
-        return encode_message(columns.to_response(), header)
-
-    def decode_unmask(
-        self, data: bytes
-    ) -> tuple[NegotiatedHeader, UnmaskColumns] | None:
-        return None
-
-
-class BatchedWireCodec(ScalarWireCodec):
-    """Vectorised codec for the three bulk legs; byte-identical output.
-
-    Sealed-shares matrices, masked-input payloads and unmask responses
-    are encoded straight from their arrays (and unmask responses decoded
-    back to columns), skipping per-frame Python object construction on
-    the quadratic paths.  Golden vectors and Hypothesis equivalence pin
-    every leg to :class:`ScalarWireCodec` bit for bit.
-    """
-
-    name = "batched"
-    columnar = True
-
-    def encode_sealed_matrix(
-        self,
-        sender: int,
-        recipients: Sequence[int],
-        ciphertexts: np.ndarray,
-        header: NegotiatedHeader,
-    ) -> bytes:
-        return encode_sealed_matrix(sender, recipients, ciphertexts, header)
-
-    def encode_masked_input(
-        self, sender: int, vector: np.ndarray, header: NegotiatedHeader
-    ) -> bytes:
-        vector = np.ascontiguousarray(vector, dtype="<i8")
-        if vector.ndim != 1:
-            raise AggregationError(
-                f"masked input must be 1-d, got shape {vector.shape}"
-            )
-        return _frame(
-            MSG_MASKED_INPUT,
-            _MASKED_PREFIX.pack(sender, vector.shape[0]) + vector.tobytes(),
-            header,
-        )
-
-    def encode_unmask_columns(
-        self, columns: UnmaskColumns, header: NegotiatedHeader
-    ) -> bytes:
-        return encode_unmask_columns(columns, header)
-
-    def decode_unmask(
-        self, data: bytes
-    ) -> tuple[NegotiatedHeader, UnmaskColumns] | None:
-        return decode_unmask_columns(data)
-
-
-#: Wire codec registry, mirroring :data:`repro.secagg.kernels.MASK_PRGS`:
-#: both entries produce identical bytes; the knob exists so equivalence
-#: can be asserted on live traffic and regressions bisected.
-WIRE_CODECS: dict[str, ScalarWireCodec] = {
-    codec.name: codec for codec in (ScalarWireCodec(), BatchedWireCodec())
-}
-
-_default_wire_codec = os.environ.get("REPRO_WIRE_CODEC", "batched")
-if _default_wire_codec not in WIRE_CODECS:  # Fail fast on a typo'd env.
-    raise AggregationError(
-        f"unknown wire codec {_default_wire_codec!r} in REPRO_WIRE_CODEC "
-        f"(choose from {sorted(WIRE_CODECS)})"
-    )
-
-
-def get_wire_codec(codec: "str | ScalarWireCodec | None" = None):
-    """Resolve a codec name/instance; ``None`` means the process default.
-
-    The default is ``"batched"`` unless overridden by the
-    ``REPRO_WIRE_CODEC`` environment variable or
-    :func:`set_default_wire_codec`.
-    """
-    if codec is None:
-        codec = _default_wire_codec
-    if isinstance(codec, str):
-        try:
-            return WIRE_CODECS[codec]
-        except KeyError:
-            raise AggregationError(
-                f"unknown wire codec {codec!r} "
-                f"(choose from {sorted(WIRE_CODECS)})"
-            ) from None
-    return codec
-
-
-def set_default_wire_codec(name: str) -> str:
-    """Set the process-wide default codec; returns the previous name."""
-    global _default_wire_codec
-    if name not in WIRE_CODECS:
-        raise AggregationError(
-            f"unknown wire codec {name!r} (choose from {sorted(WIRE_CODECS)})"
-        )
-    previous = _default_wire_codec
-    _default_wire_codec = name
-    return previous
+    return np.ascontiguousarray(stack.transpose(1, 0, 2))
 
 
 #: Broadcast-decode memo: the server sends *one* roster (and unmask
@@ -1260,28 +1011,22 @@ def decode_frames(data: bytes) -> list[tuple[NegotiatedHeader, Message]]:
     """
     memoised = _broadcast_memo.get(data)
     if memoised is None:
-        memoised = [
-            (header, message)
-            for header, message, _ in iter_frames(data, keep_raw=False)
-        ]
+        memoised = iter_frames(data)
         if len(_broadcast_memo) >= _BROADCAST_MEMO_MAX:
             _broadcast_memo.clear()
         _broadcast_memo[bytes(data)] = memoised
     return list(memoised)
 
 
-def iter_frames(
-    data: bytes, keep_raw: bool = True
-) -> list[tuple[NegotiatedHeader, Message, "memoryview | None"]]:
-    """Like :func:`decode_frames`, but keeps each frame's raw bytes.
+def iter_frames(data: bytes) -> list[tuple[NegotiatedHeader, Message]]:
+    """Like :func:`decode_frames`, without the broadcast memo.
 
-    Transports that forward messages verbatim (the server routing sealed
-    envelopes) reuse the raw frame instead of re-encoding it.  ``raw``
-    is a zero-copy :class:`memoryview` into ``data`` (which it keeps
-    alive); pass ``keep_raw=False`` when the spans are not needed.
+    The server parses every upload with this: uploads differ per sender
+    and per round, so memoising them would only flush the memo that
+    keeps the clients' broadcast decodes cheap.
     """
     view = memoryview(data)
-    frames: list[tuple[NegotiatedHeader, Message, memoryview | None]] = []
+    frames: list[tuple[NegotiatedHeader, Message]] = []
     offset = 0
     total = len(view)
     # Datagrams are homogeneous in practice (a roster broadcast, one
@@ -1346,9 +1091,7 @@ def iter_frames(
         if message is None:
             reader = _Reader(view, body_start, end)
             message = _decode_body(msg_type, reader)
-        frames.append(
-            (header, message, view[offset:end] if keep_raw else None)
-        )
+        frames.append((header, message))
         offset = end
     return frames
 

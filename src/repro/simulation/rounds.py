@@ -159,10 +159,6 @@ class AsyncSecAggRound:
             :class:`~repro.errors.ChaosKillError`) when it reaches this
             phase, before collecting or committing anything for it.
             ``None`` (default) never fails.
-        wire_codec: Wire codec backend name for every session in the
-            round (``None`` = process default, normally ``"batched"``).
-            Bytes are identical across codecs; the knob exists for
-            equivalence assertions and bisection.
     """
 
     def __init__(
@@ -183,7 +179,6 @@ class AsyncSecAggRound:
         client_versions: Mapping[int, int] | None = None,
         metrics: MetricsRegistry | None = None,
         fail_at_phase: int | None = None,
-        wire_codec: str | None = None,
     ) -> None:
         if not vectors:
             raise ConfigurationError("cohort must not be empty")
@@ -216,7 +211,6 @@ class AsyncSecAggRound:
         self._trace = trace
         self._tamper = tamper_unmask_request
         self._mask_prg = get_mask_prg(mask_prg)
-        self._wire_codec = wire_codec
         self._client_versions = dict(client_versions or {})
         if fail_at_phase is not None and not (
             ROUND_ADVERTISE <= fail_at_phase <= ROUND_UNMASK
@@ -381,7 +375,6 @@ class AsyncSecAggRound:
             self._mask_prg,
             tamper_unmask_request=self._tamper,
             metrics=self._metrics,
-            wire_codec=self._wire_codec,
         )
         # Phase 0 is the only one where the cohort (the transport's
         # knowledge) defines who may deliver; afterwards the session
@@ -521,7 +514,6 @@ class AsyncSecAggRound:
             mask_prg=self._mask_prg,
             version=self._client_versions.get(index, PROTOCOL_V1),
             metrics=self._metrics,
-            wire_codec=self._wire_codec,
         )
         self._live_clients[index] = session
         # Phase 0 — propose the header and advertise both public keys.

@@ -18,7 +18,6 @@ from repro.secagg.bonawitz import (
     ROUND_UNMASK,
     BonawitzClient,
     BonawitzServer,
-    SealedShares,
     UnmaskRequest,
     _decode_payload,
     _encode_payload,
@@ -28,6 +27,8 @@ from repro.secagg.bonawitz import (
 )
 from repro.secagg.keys import TOY_GROUP
 from repro.secagg.shamir import LimbShares, Share
+from repro.secagg.statemachine import ClientSession, ServerSession
+from repro.secagg.wire import SealedShares, encode_message
 
 MODULUS = 2**10
 DIMENSION = 32
@@ -40,6 +41,21 @@ def rng():
 
 def make_inputs(rng, n=6, d=DIMENSION):
     return rng.integers(0, MODULUS, size=(n, d), dtype=np.int64)
+
+
+def exchange_shares(server, clients, roster):
+    """Round 1 as the sessions run it, without the wire.
+
+    Every client seals its envelope matrix, the server registers ``U1``,
+    and each client opens the column of envelopes addressed to it.
+    """
+    sealed = {c.index: c.share_keys_matrix(roster) for c in clients}
+    senders = sorted(server.register_share_keys(sealed))
+    for client in clients:
+        column = sealed[client.index][0].index(client.index)
+        client.receive_share_matrix(
+            senders, np.stack([sealed[u][1][column] for u in senders])
+        )
 
 
 class TestHappyPath:
@@ -225,26 +241,29 @@ class TestValidation:
             server.collect_advertisements([keys, keys])
 
     def test_spoofed_sender_rejected(self, rng):
-        server = BonawitzServer(MODULUS, DIMENSION, threshold=2)
-        clients = [
-            BonawitzClient(
-                i,
+        """An envelope claiming client 2, uploaded on client 1's
+        transport binding, is refused when the server receives it."""
+        sessions = {
+            u: ClientSession(
+                u,
                 np.zeros(DIMENSION, dtype=np.int64),
                 MODULUS,
                 2,
-                np.random.default_rng(i),
+                np.random.default_rng(u),
                 TOY_GROUP,
             )
-            for i in (1, 2)
-        ]
-        roster = server.collect_advertisements(
-            [c.advertise_keys() for c in clients]
+            for u in (1, 2)
+        }
+        server = ServerSession(MODULUS, DIMENSION, 2, group=TOY_GROUP)
+        for u, session in sessions.items():
+            server.receive(b"".join(session.start()), sender=u)
+        server.advance()
+        forged = encode_message(
+            SealedShares(sender=2, recipient=1, ciphertext=b"xx"),
+            server.header,
         )
-        envelopes = {c.index: c.share_keys(roster) for c in clients}
-        forged = SealedShares(sender=2, recipient=1, ciphertext=b"xx")
-        envelopes[1] = [forged]
         with pytest.raises(AggregationError, match="claims sender"):
-            server.route_shares(envelopes)
+            server.receive(forged, sender=1)
 
     def test_wrong_dimension_masked_input_rejected(self, rng):
         inputs = make_inputs(rng, n=3)
@@ -264,11 +283,7 @@ class TestValidation:
         roster = server.collect_advertisements(
             [c.advertise_keys() for c in clients.values()]
         )
-        mailbox = server.route_shares(
-            {u: clients[u].share_keys(roster) for u in clients}
-        )
-        for u, envelopes in mailbox.items():
-            clients[u].receive_shares(envelopes)
+        exchange_shares(server, clients.values(), roster)
         masked = {
             u: clients[u].masked_input(server.share_participants)
             for u in clients
@@ -293,11 +308,7 @@ class TestValidation:
         roster = server.collect_advertisements(
             [c.advertise_keys() for c in clients]
         )
-        mailbox = server.route_shares(
-            {c.index: c.share_keys(roster) for c in clients}
-        )
-        for c in clients:
-            c.receive_shares(mailbox[c.index])
+        exchange_shares(server, clients, roster)
         masked = {
             c.index: c.masked_input(server.share_participants)
             for c in clients
@@ -316,7 +327,7 @@ class TestValidation:
             TOY_GROUP,
         )
         with pytest.raises(AggregationError, match="before advertise"):
-            client.share_keys({})
+            client.share_keys_matrix({})
         with pytest.raises(AggregationError, match="before share_keys"):
             client.masked_input(frozenset({1}))
 
@@ -342,16 +353,12 @@ class TestSecurityInvariants:
         roster = server.collect_advertisements(
             [c.advertise_keys() for c in clients.values()]
         )
-        mailbox = server.route_shares(
-            {u: clients[u].share_keys(roster) for u in clients}
-        )
-        for u, envelopes in mailbox.items():
-            clients[u].receive_shares(envelopes)
+        exchange_shares(server, clients.values(), roster)
         malicious = UnmaskRequest(
             survivors=frozenset({1, 2}), dropouts=frozenset({2, 3})
         )
         with pytest.raises(AggregationError, match="both survivor"):
-            clients[1].unmask(malicious)
+            clients[1].unmask_columns(malicious)
 
     def test_unknown_peer_in_unmask_request_rejected(self, rng):
         inputs = make_inputs(rng, n=2)
@@ -371,13 +378,9 @@ class TestSecurityInvariants:
         roster = server.collect_advertisements(
             [c.advertise_keys() for c in clients.values()]
         )
-        mailbox = server.route_shares(
-            {u: clients[u].share_keys(roster) for u in clients}
-        )
-        for u, envelopes in mailbox.items():
-            clients[u].receive_shares(envelopes)
+        exchange_shares(server, clients.values(), roster)
         with pytest.raises(AggregationError, match="no shares held"):
-            clients[1].unmask(
+            clients[1].unmask_columns(
                 UnmaskRequest(
                     survivors=frozenset({42}), dropouts=frozenset()
                 )
@@ -407,11 +410,7 @@ class TestSecurityInvariants:
             roster = server.collect_advertisements(
                 [c.advertise_keys() for c in clients.values()]
             )
-            mailbox = server.route_shares(
-                {u: clients[u].share_keys(roster) for u in clients}
-            )
-            for u, envelopes in mailbox.items():
-                clients[u].receive_shares(envelopes)
+            exchange_shares(server, clients.values(), roster)
             observed.append(
                 clients[1].masked_input(server.share_participants)
             )

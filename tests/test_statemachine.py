@@ -8,6 +8,8 @@ transports themselves don't: version/PRG negotiation rejection at Hello
 accounting ledger.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,11 @@ from repro.secagg.wire import (
     Hello,
     Reject,
     decode_message,
+    decode_sealed_columns,
+    decode_unmask_columns,
     encode_message,
+    encode_sealed_matrix,
+    encode_unmask_columns,
 )
 
 MODULUS = 2**12
@@ -267,6 +273,125 @@ class TestStrictValidation:
         _, _, server = make_sessions(n=3, threshold=2)
         with pytest.raises(AggregationError, match="not been recovered"):
             server.modular_sum
+
+
+class TestShareKeysShape:
+    """A share-keys upload is accepted only as one uniform sealed stream
+    addressed to the round-0 roster; any other shape is refused on
+    receipt, and the remaining clients still finish the round."""
+
+    def _share_keys_phase(self):
+        inputs, clients, server = make_sessions(n=4, threshold=3)
+        for u in sorted(clients):
+            server.receive(b"".join(clients[u].start()), sender=u)
+        deliveries = server.advance()
+        uploads = {
+            u: b"".join(clients[u].handle(deliveries[u]))
+            for u in sorted(deliveries)
+        }
+        return inputs, clients, server, uploads
+
+    def test_second_upload_from_a_sender_is_refused(self):
+        _, _, server, uploads = self._share_keys_phase()
+        server.receive(uploads[1], sender=1)
+        with pytest.raises(AggregationError, match="duplicate share-keys"):
+            server.receive(uploads[1], sender=1)
+
+    def test_envelopes_for_another_roster_are_refused(self):
+        _, _, server, uploads = self._share_keys_phase()
+        header, _, recipients, ciphertexts, _ = decode_sealed_columns(
+            uploads[1]
+        )
+        forged = encode_sealed_matrix(
+            1, recipients[:-1], ciphertexts[:-1], header
+        )
+        with pytest.raises(AggregationError, match="round-0 roster"):
+            server.receive(forged, sender=1)
+
+    def test_envelopes_of_the_wrong_length_are_refused(self):
+        inputs, clients, server, uploads = self._share_keys_phase()
+        header, _, recipients, ciphertexts, _ = decode_sealed_columns(
+            uploads[1]
+        )
+        forged = encode_sealed_matrix(
+            1, recipients, ciphertexts[:, :-1], header
+        )
+        with pytest.raises(AggregationError, match="-byte envelopes"):
+            server.receive(forged, sender=1)
+        for u in (2, 3, 4):
+            server.receive(uploads[u], sender=u)
+        deliveries = server.advance()
+        assert set(deliveries) == {2, 3, 4}
+        for _ in range(2):
+            for u in sorted(deliveries):
+                out = clients[u].handle(deliveries[u])
+                server.receive(b"".join(out), sender=u)
+            deliveries = server.advance()
+        np.testing.assert_array_equal(
+            server.modular_sum, np.mod(inputs[1:].sum(axis=0), MODULUS)
+        )
+
+
+class TestMalformedUnmaskResponse:
+    """An unmask response must hold exactly the shares the request
+    named; otherwise the server refuses it on receipt (evicting that
+    responder) and the honest quorum still recovers the sum."""
+
+    def _unmask_phase(self, skip_masked=frozenset()):
+        inputs, clients, server = make_sessions(n=5, threshold=3)
+        for u in sorted(clients):
+            server.receive(b"".join(clients[u].start()), sender=u)
+        deliveries = server.advance()
+        for phase_skip in (frozenset(), skip_masked):
+            for u in sorted(deliveries):
+                if u in phase_skip:
+                    continue
+                out = clients[u].handle(deliveries[u])
+                server.receive(b"".join(out), sender=u)
+            deliveries = server.advance()
+        return inputs, clients, server, deliveries
+
+    def _finish(self, clients, server, deliveries, skip):
+        for u in sorted(deliveries):
+            if u not in skip:
+                out = clients[u].handle(deliveries[u])
+                server.receive(b"".join(out), sender=u)
+        server.advance()
+
+    def test_response_omitting_a_survivor_is_refused(self):
+        inputs, clients, server, deliveries = self._unmask_phase()
+        header, columns = decode_unmask_columns(
+            clients[1].handle(deliveries[1])[0]
+        )
+        keep = columns.peers != 2
+        forged = dataclasses.replace(
+            columns,
+            peers=columns.peers[keep],
+            xs=columns.xs[keep],
+            ys=columns.ys[keep],
+        )
+        with pytest.raises(AggregationError, match="announced survivors"):
+            server.receive(encode_unmask_columns(forged, header), sender=1)
+        self._finish(clients, server, deliveries, skip={1})
+        np.testing.assert_array_equal(
+            server.modular_sum, np.mod(inputs.sum(axis=0), MODULUS)
+        )
+
+    def test_response_missing_dropout_key_shares_is_refused(self):
+        inputs, clients, server, deliveries = self._unmask_phase(
+            skip_masked=frozenset({5})
+        )
+        header, columns = decode_unmask_columns(
+            clients[1].handle(deliveries[1])[0]
+        )
+        assert set(columns.key_shares) == {5}
+        forged = dataclasses.replace(columns, key_shares={})
+        with pytest.raises(AggregationError, match="announced dropouts"):
+            server.receive(encode_unmask_columns(forged, header), sender=1)
+        self._finish(clients, server, deliveries, skip={1})
+        np.testing.assert_array_equal(
+            server.modular_sum, np.mod(inputs[:4].sum(axis=0), MODULUS)
+        )
 
 
 class TestWireAccounting:

@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AggregationError
+from repro.secagg.keys import TOY_GROUP
 from repro.secagg.shamir import LimbShares, Share
+from repro.secagg.statemachine import ServerSession
 from repro.secagg.wire import (
     PROTOCOL_V1,
     WIRE_FORMAT_VERSION,
@@ -195,6 +197,17 @@ class TestMalformedFrames:
     def test_negative_integers_unencodable(self):
         with pytest.raises(AggregationError, match=">= 0"):
             encode_message(Advertise(1, -5, 2), HEADER)
+
+    def test_non_utf8_reject_reason_is_typed(self):
+        """A Reject whose reason is not UTF-8 is a malformed frame, for
+        the decoder and for a server session that receives it."""
+        frame = encode_message(Reject(client=1, reason="ok"), HEADER)
+        frame = frame[:-2] + b"\xff\xfe"
+        with pytest.raises(AggregationError, match="non-UTF-8"):
+            decode_message(frame)
+        server = ServerSession(2**12, 8, 2, group=TOY_GROUP)
+        with pytest.raises(AggregationError, match="non-UTF-8"):
+            server.receive(frame, sender=1)
 
 
 class TestHypothesisRoundTrips:

@@ -1,42 +1,71 @@
-"""Batched wire-codec tests: golden pins, equivalence, and round digests.
+"""Bulk-leg wire codec tests: golden pins, equivalence, and a live round.
 
-The batched codec's whole contract is *bit-identity* with the scalar
-reference path — golden vectors freeze the bytes, Hypothesis pins the
-scalar/batched equivalence on arbitrary inputs, and a full protocol run
-is compared datagram-for-datagram across codecs.
+The array-level encoders for the three bulk legs promise *bit-identity*
+with the per-frame :func:`~repro.secagg.wire.encode_message` path —
+golden vectors freeze the bytes, Hypothesis pins the equivalence with
+the test-local per-frame oracles below on arbitrary inputs, and every
+datagram of a live protocol round is re-encoded through the oracle.
 """
 
-import hashlib
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import AggregationError
-from repro.secagg.bonawitz import run_bonawitz
+from repro.secagg.bonawitz import (
+    ROUND_MASKED_INPUT,
+    ROUND_SHARE_KEYS,
+    ROUND_UNMASK,
+)
+from repro.secagg.keys import TOY_GROUP
 from repro.secagg.shamir import LimbShares, Share
+from repro.secagg.statemachine import ClientSession, ServerSession
 from repro.secagg.wire import (
     PROTOCOL_V1,
-    WIRE_CODECS,
     MaskedInput,
     NegotiatedHeader,
+    SealedShares,
     UnmaskColumns,
     UnmaskResponse,
+    decode_frames,
     decode_message,
     decode_sealed_columns,
     decode_unmask_columns,
+    encode_masked_input,
     encode_message,
-    get_wire_codec,
+    encode_sealed_matrix,
+    encode_unmask_columns,
     route_sealed_stack,
-    set_default_wire_codec,
 )
 
 HEADER = NegotiatedHeader(version=PROTOCOL_V1, mask_prg="sha256-ctr")
-SCALAR = WIRE_CODECS["scalar"]
-BATCHED = WIRE_CODECS["batched"]
 
-#: Frozen batched-codec outputs (same format contract as
+
+def oracle_sealed_matrix(sender, recipients, ciphertexts, header):
+    """Per-frame reference for :func:`encode_sealed_matrix`."""
+    return b"".join(
+        encode_message(
+            SealedShares(
+                sender=sender,
+                recipient=recipient,
+                ciphertext=ciphertexts[position].tobytes(),
+            ),
+            header,
+        )
+        for position, recipient in enumerate(recipients)
+    )
+
+
+def oracle_masked_input(sender, vector, header):
+    """Per-frame reference for :func:`encode_masked_input`."""
+    return encode_message(MaskedInput(sender=sender, vector=vector), header)
+
+
+def oracle_unmask_columns(columns, header):
+    """Per-frame reference for :func:`encode_unmask_columns`."""
+    return encode_message(columns.to_response(), header)
+
+
+#: Frozen bulk-leg encoder outputs (same format contract as
 #: ``tests/test_wire.py``): the masked-input and unmask hexes are
 #: byte-identical to that module's per-frame golden vectors.
 GOLDEN_SEALED_MATRIX = (
@@ -77,15 +106,12 @@ def _columns(responder, seed_shares, key_shares, prime=2**61 - 1):
 class TestGoldenVectors:
     def test_sealed_matrix_matches_golden(self):
         ciphertexts = np.array([[0xDE, 0xAD], [0xBE, 0xEF]], dtype=np.uint8)
-        encoded = BATCHED.encode_sealed_matrix(2, [5, 6], ciphertexts, HEADER)
+        encoded = encode_sealed_matrix(2, [5, 6], ciphertexts, HEADER)
         assert encoded.hex() == GOLDEN_SEALED_MATRIX
 
     def test_masked_input_matches_golden(self):
         vector = np.array([0, 1, 65535, 2**40], dtype=np.int64)
-        assert (
-            BATCHED.encode_masked_input(4, vector, HEADER).hex()
-            == GOLDEN_MASKED
-        )
+        assert encode_masked_input(4, vector, HEADER).hex() == GOLDEN_MASKED
 
     def test_unmask_columns_match_golden(self):
         columns = _columns(
@@ -93,10 +119,7 @@ class TestGoldenVectors:
             {2: Share(x=6, y=123456789), 5: Share(x=6, y=1)},
             {9: LimbShares(x=6, ys=(10, 2**61 - 2))},
         )
-        assert (
-            BATCHED.encode_unmask_columns(columns, HEADER).hex()
-            == GOLDEN_UNMASK
-        )
+        assert encode_unmask_columns(columns, HEADER).hex() == GOLDEN_UNMASK
 
     def test_golden_unmask_decodes_to_columns(self):
         header, columns = decode_unmask_columns(bytes.fromhex(GOLDEN_UNMASK))
@@ -132,7 +155,7 @@ KEY_STRATEGY = st.dictionaries(
 )
 
 
-class TestScalarBatchedEquivalence:
+class TestOracleEquivalence:
     @given(
         sender=st.integers(min_value=1, max_value=2**32 - 1),
         recipients=st.lists(
@@ -155,11 +178,9 @@ class TestScalarBatchedEquivalence:
         ciphertexts = np.frombuffer(raw, dtype=np.uint8).reshape(
             len(recipients), width
         )
-        assert BATCHED.encode_sealed_matrix(
+        assert encode_sealed_matrix(
             sender, recipients, ciphertexts, HEADER
-        ) == SCALAR.encode_sealed_matrix(
-            sender, recipients, ciphertexts, HEADER
-        )
+        ) == oracle_sealed_matrix(sender, recipients, ciphertexts, HEADER)
 
     @given(
         sender=st.integers(min_value=1, max_value=2**32 - 1),
@@ -171,9 +192,9 @@ class TestScalarBatchedEquivalence:
     @settings(max_examples=50, deadline=None)
     def test_masked_input(self, sender, values):
         vector = np.array(values, dtype=np.int64)
-        assert BATCHED.encode_masked_input(
+        assert encode_masked_input(
             sender, vector, HEADER
-        ) == SCALAR.encode_masked_input(sender, vector, HEADER)
+        ) == oracle_masked_input(sender, vector, HEADER)
 
     @given(
         responder=st.integers(min_value=1, max_value=2**32 - 1),
@@ -188,9 +209,9 @@ class TestScalarBatchedEquivalence:
             {p: LimbShares(x=x, ys=tuple(ys)) for p, (x, ys) in keys.items()},
             prime=2**128,  # Force the object-dtype (16-byte) column path.
         )
-        assert BATCHED.encode_unmask_columns(
+        assert encode_unmask_columns(
             columns, HEADER
-        ) == SCALAR.encode_unmask_columns(columns, HEADER)
+        ) == oracle_unmask_columns(columns, HEADER)
 
     @given(
         responder=st.integers(min_value=1, max_value=2**32 - 1),
@@ -232,7 +253,7 @@ class TestColumnarRouting:
     def test_routed_mailbox_is_columnar_decodable(self):
         ciphertexts = np.arange(24, dtype=np.uint8).reshape(3, 8)
         datagrams = [
-            BATCHED.encode_sealed_matrix(s, [1, 2, 3], ciphertexts, HEADER)
+            encode_sealed_matrix(s, [1, 2, 3], ciphertexts, HEADER)
             for s in (1, 2, 3)
         ]
         frame_len = len(datagrams[0]) // 3
@@ -251,62 +272,55 @@ class TestColumnarRouting:
         assert recipients == [2, 2, 2]
 
 
-class TestCodecRegistry:
-    def test_default_is_batched(self):
-        assert get_wire_codec(None).name == "batched"
-
-    def test_lookup_by_name_and_instance(self):
-        assert get_wire_codec("scalar") is SCALAR
-        assert get_wire_codec(BATCHED) is BATCHED
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(AggregationError, match="unknown wire codec"):
-            get_wire_codec("zstd")
-        with pytest.raises(AggregationError, match="unknown wire codec"):
-            set_default_wire_codec("zstd")
-
-    def test_set_default_round_trips(self):
-        previous = set_default_wire_codec("scalar")
-        try:
-            assert previous == "batched"
-            assert get_wire_codec(None).name == "scalar"
-        finally:
-            set_default_wire_codec(previous)
-
-    def test_scalar_decode_unmask_declines(self):
-        encoded = BATCHED.encode_unmask_columns(
-            _columns(6, {2: Share(x=6, y=1)}, {}), HEADER
+class TestLiveRound:
+    def test_datagrams_match_oracle_and_sum_is_exact(self):
+        """Every datagram of a round with dropouts re-encodes byte for
+        byte through the per-frame oracle, and the aggregate is the
+        included clients' sum mod m."""
+        modulus, threshold = 2**31 - 1, 5
+        vectors = np.random.default_rng(20220601).integers(
+            0, 1000, size=(9, 24)
         )
-        assert SCALAR.decode_unmask(encoded) is None
-        assert BATCHED.decode_unmask(encoded) is not None
-
-
-class TestCrossCodecRounds:
-    """Full four-round protocol runs must be digest-identical."""
-
-    def _digest(self, outcome):
-        return hashlib.sha256(
-            np.ascontiguousarray(outcome.modular_sum).tobytes()
-        ).hexdigest()
-
-    @pytest.mark.parametrize("dropouts", [None, {2: 2, 5: 3}])
-    def test_run_bonawitz_digest_equal(self, dropouts):
-        results = {}
-        for codec in ("scalar", "batched"):
-            rng = np.random.default_rng(20220601)
-            vectors = rng.integers(0, 1000, size=(9, 24))
-            outcome = run_bonawitz(
-                vectors,
-                modulus=2**31 - 1,
-                threshold=5,
-                rng=np.random.default_rng(7),
-                dropouts=dict(dropouts) if dropouts else None,
-                wire_codec=codec,
+        # Client 2 stops before its masked input, client 5 before
+        # unmasking: both the seed and the key-share sections are live.
+        dropouts = {2: ROUND_MASKED_INPUT, 5: ROUND_UNMASK}
+        clients = {
+            u: ClientSession(
+                index=u,
+                vector=vectors[u - 1],
+                modulus=modulus,
+                threshold=threshold,
+                rng=np.random.default_rng(u),
+                group=TOY_GROUP,
             )
-            results[codec] = (
-                self._digest(outcome),
-                outcome.included,
-                outcome.wire.total_messages,
-                outcome.wire.total_bytes,
+            for u in range(1, 10)
+        }
+        server = ServerSession(modulus, 24, threshold, group=TOY_GROUP)
+        datagrams = []
+        for u in sorted(clients):
+            upload = b"".join(clients[u].start())
+            datagrams.append(upload)
+            server.receive(upload, sender=u)
+        deliveries = server.advance()
+        for phase in (ROUND_SHARE_KEYS, ROUND_MASKED_INPUT, ROUND_UNMASK):
+            datagrams.extend(deliveries.values())
+            for u in sorted(deliveries):
+                if dropouts.get(u, ROUND_UNMASK + 1) <= phase:
+                    continue
+                upload = b"".join(clients[u].handle(deliveries[u]))
+                datagrams.append(upload)
+                server.receive(upload, sender=u)
+            deliveries = server.advance()
+        assert deliveries == {}
+        for datagram in datagrams:
+            reencoded = b"".join(
+                encode_message(message, header)
+                for header, message in decode_frames(datagram)
             )
-        assert results["scalar"] == results["batched"]
+            assert reencoded == datagram
+        included = server.included
+        assert included == frozenset(range(1, 10)) - {2}
+        rows = [u - 1 for u in sorted(included)]
+        np.testing.assert_array_equal(
+            server.modular_sum, np.mod(vectors[rows].sum(axis=0), modulus)
+        )
