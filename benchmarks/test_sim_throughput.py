@@ -281,37 +281,42 @@ def test_phase_latency_quantiles(emit, bench_rng):
         )
 
 
-def test_telemetry_not_slower(emit, bench_rng, best_of):
+def test_telemetry_not_slower(emit, bench_rng):
     """Metering overhead must stay under a hard 10% bound (tier-1).
 
-    Best-of-3 on each side squeezes scheduler noise out of the
-    comparison, so the bound is tight enough to actually fail when the
-    instrumentation hot path regresses (the 1.5x-slack ancestor of this
+    Plain and metered one-round runs alternate, and the guard bounds
+    the median of the 32 per-pair rounds/sec ratios.  The shared 2-vCPU
+    host flips between two speeds ~1.45x apart at sub-second intervals,
+    so single runs spread by ~20%: best-of-3 blocks (this guard's
+    previous form) tripped on up to a third of runs with no overhead.
+    The paired median stays tight enough to fail on a real regression
+    of the instrumentation hot path (the 1.5x-slack ancestor of this
     guard waved through a measured +46% overhead).
     """
-    plain = best_of(
-        3,
-        lambda: _run_rounds(128, 48, num_rounds=2, bench_rng=bench_rng)[0],
-    )
     report_box = []
+
+    def plain_run():
+        return _run_rounds(128, 48, num_rounds=1, bench_rng=bench_rng)[0]
 
     def metered_run():
         rps, _, _, report = _run_rounds(
-            128, 48, num_rounds=2, bench_rng=bench_rng, telemetry=True
+            128, 48, num_rounds=1, bench_rng=bench_rng, telemetry=True
         )
         report_box.append(report)
         return rps
 
-    metered = best_of(3, metered_run)
+    pairs = np.array([(plain_run(), metered_run()) for _ in range(32)])
+    plain, metered = np.median(pairs, axis=0)
+    ratio = float(np.median(pairs[:, 0] / pairs[:, 1]))
     emit(
         f"sim_telemetry_overhead population= 128 cohort<= 48 "
         f"plain_rps={plain:8.3f} metered_rps={metered:8.3f} "
-        f"overhead={100 * (plain / metered - 1):+.1f}%",
+        f"overhead={100 * (ratio - 1):+.1f}%",
         RESULTS_FILE,
     )
     assert report_box[-1] is not None
     assert report_box[-1].counter_sum("secagg_rounds_total") > 0
-    assert metered * 1.10 >= plain
+    assert ratio <= 1.10
 
 
 @pytest.mark.slow

@@ -7,14 +7,19 @@ the test-local per-frame oracles below on arbitrary inputs, and every
 datagram of a live protocol round is re-encoded through the oracle.
 """
 
+import hashlib
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.secagg.bonawitz import (
+    ROUND_ADVERTISE,
     ROUND_MASKED_INPUT,
     ROUND_SHARE_KEYS,
     ROUND_UNMASK,
+    run_bonawitz,
 )
 from repro.secagg.keys import TOY_GROUP
 from repro.secagg.shamir import LimbShares, Share
@@ -155,7 +160,10 @@ KEY_STRATEGY = st.dictionaries(
 )
 
 
-class TestOracleEquivalence:
+class TestScalarBatchedEquivalence:
+    """The batched module encoders against the per-frame ("scalar")
+    oracles on arbitrary inputs."""
+
     @given(
         sender=st.integers(min_value=1, max_value=2**32 - 1),
         recipients=st.lists(
@@ -272,55 +280,106 @@ class TestColumnarRouting:
         assert recipients == [2, 2, 2]
 
 
-class TestLiveRound:
-    def test_datagrams_match_oracle_and_sum_is_exact(self):
-        """Every datagram of a round with dropouts re-encodes byte for
-        byte through the per-frame oracle, and the aggregate is the
-        included clients' sum mod m."""
-        modulus, threshold = 2**31 - 1, 5
-        vectors = np.random.default_rng(20220601).integers(
-            0, 1000, size=(9, 24)
+class TestCrossCodecRounds:
+    """Per-frame ("scalar") vs batched encodings of full protocol rounds.
+
+    :func:`run_bonawitz` runs on the batched module encoders.  The same
+    round is replayed session by session with every datagram re-encoded
+    through the per-frame oracle before it is delivered; both runs must
+    agree on the digest, the included set and the wire totals, and the
+    aggregate must be the included clients' sum mod m.
+    """
+
+    MODULUS = 2**31 - 1
+    THRESHOLD = 5
+
+    def _digest(self, modular_sum):
+        return hashlib.sha256(
+            np.ascontiguousarray(modular_sum).tobytes()
+        ).hexdigest()
+
+    def _oracle(self, datagram):
+        reencoded = b"".join(
+            encode_message(message, header)
+            for header, message in decode_frames(datagram)
         )
-        # Client 2 stops before its masked input, client 5 before
-        # unmasking: both the seed and the key-share sections are live.
-        dropouts = {2: ROUND_MASKED_INPUT, 5: ROUND_UNMASK}
+        assert reencoded == datagram
+        return reencoded
+
+    def _scalar_round(self, vectors, rng, dropouts):
+        """The :func:`run_bonawitz` schedule, every datagram relayed
+        through the per-frame oracle."""
+
+        def alive(u, phase):
+            return dropouts.get(u, ROUND_UNMASK + 1) > phase
+
         clients = {
             u: ClientSession(
                 index=u,
                 vector=vectors[u - 1],
-                modulus=modulus,
-                threshold=threshold,
-                rng=np.random.default_rng(u),
+                modulus=self.MODULUS,
+                threshold=self.THRESHOLD,
+                rng=np.random.default_rng(rng.integers(0, 2**63 - 1)),
                 group=TOY_GROUP,
             )
-            for u in range(1, 10)
+            for u in range(1, len(vectors) + 1)
         }
-        server = ServerSession(modulus, 24, threshold, group=TOY_GROUP)
-        datagrams = []
+        server = ServerSession(
+            self.MODULUS, vectors.shape[1], self.THRESHOLD, group=TOY_GROUP
+        )
         for u in sorted(clients):
-            upload = b"".join(clients[u].start())
-            datagrams.append(upload)
-            server.receive(upload, sender=u)
+            if alive(u, ROUND_ADVERTISE):
+                upload = self._oracle(b"".join(clients[u].start()))
+                server.receive(upload, sender=u)
         deliveries = server.advance()
         for phase in (ROUND_SHARE_KEYS, ROUND_MASKED_INPUT, ROUND_UNMASK):
-            datagrams.extend(deliveries.values())
             for u in sorted(deliveries):
-                if dropouts.get(u, ROUND_UNMASK + 1) <= phase:
+                if not alive(u, phase):
                     continue
-                upload = b"".join(clients[u].handle(deliveries[u]))
-                datagrams.append(upload)
-                server.receive(upload, sender=u)
+                responses = clients[u].handle(self._oracle(deliveries[u]))
+                if responses:
+                    upload = self._oracle(b"".join(responses))
+                    server.receive(upload, sender=u)
             deliveries = server.advance()
         assert deliveries == {}
-        for datagram in datagrams:
-            reencoded = b"".join(
-                encode_message(message, header)
-                for header, message in decode_frames(datagram)
-            )
-            assert reencoded == datagram
-        included = server.included
-        assert included == frozenset(range(1, 10)) - {2}
-        rows = [u - 1 for u in sorted(included)]
+        return server
+
+    # {2: 2, 5: 3}: client 2 stops before its masked input, client 5
+    # before unmasking, so both the seed and the key-share sections of
+    # the unmask columns are live.
+    @pytest.mark.parametrize("dropouts", [None, {2: 2, 5: 3}])
+    def test_run_bonawitz_digest_equal(self, dropouts):
+        vectors = np.random.default_rng(20220601).integers(
+            0, 1000, size=(9, 24)
+        )
+        dropouts = dict(dropouts or {})
+        batched = run_bonawitz(
+            vectors,
+            modulus=self.MODULUS,
+            threshold=self.THRESHOLD,
+            rng=np.random.default_rng(7),
+            dropouts=dict(dropouts),
+        )
+        scalar = self._scalar_round(
+            vectors, np.random.default_rng(7), dropouts
+        )
+        assert (
+            self._digest(scalar.modular_sum),
+            scalar.included,
+            scalar.stats.total_messages,
+            scalar.stats.total_bytes,
+        ) == (
+            self._digest(batched.modular_sum),
+            batched.included,
+            batched.wire.total_messages,
+            batched.wire.total_bytes,
+        )
+        expected_included = frozenset(range(1, 10)) - {
+            u for u, phase in dropouts.items() if phase <= ROUND_MASKED_INPUT
+        }
+        assert batched.included == expected_included
+        rows = [u - 1 for u in sorted(expected_included)]
         np.testing.assert_array_equal(
-            server.modular_sum, np.mod(vectors[rows].sum(axis=0), modulus)
+            batched.modular_sum,
+            np.mod(vectors[rows].sum(axis=0), self.MODULUS),
         )
