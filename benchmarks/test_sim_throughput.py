@@ -9,7 +9,7 @@ overhead at fixed protocol cost.  The slow tier additionally runs
 full-cohort rounds (cohort == population), where the Bonawitz
 protocol's quadratic pairwise-mask and Shamir-sharing work dominates.
 
-The ``--shards`` axis records sharded vs flat throughput: a sharded
+The sharded axis records one-level-tree vs flat throughput: a sharded
 round runs ``k`` hierarchical Bonawitz sub-rounds (``O(n^2/k)`` total
 work) on the ``inline`` or ``process`` execution backend, and its
 composed sum is verified exact against the survivors' direct modular
@@ -31,8 +31,8 @@ import pytest
 from repro.simulation import (
     AsyncSecAggRound,
     BernoulliDropout,
+    HierarchicalSecAggRound,
     Population,
-    ShardedSecAggRound,
     SimulatedClock,
     get_execution_backend,
     shamir_threshold,
@@ -93,12 +93,12 @@ def _run_rounds(
             rng = population.round_rng(round_index, purpose=2)
             plans = population.plans(round_index, cohort)
             if shards > 1:
-                sharded_round = ShardedSecAggRound(
+                sharded_round = HierarchicalSecAggRound(
                     vectors=vectors,
                     modulus=MODULUS,
                     clock=clock,
                     rng=rng,
-                    shards=shards,
+                    topology=str(shards),
                     threshold_fraction=THRESHOLD_FRACTION,
                     plans=plans,
                     phase_timeout=60.0,
@@ -229,17 +229,28 @@ def test_rounds_per_second_full_cohort(population_size, emit, bench_rng):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("backend", ["inline", "process", "process-pickle"])
-def test_rounds_per_second_full_cohort_sharded(backend, emit, bench_rng):
+@pytest.mark.parametrize(
+    "backend, shm",
+    [("inline", True), ("process", True), ("process", False)],
+    ids=["inline", "process", "process-no-shm"],
+)
+def test_rounds_per_second_full_cohort_sharded(
+    backend, shm, emit, bench_rng, monkeypatch
+):
     """Full-cohort sharded throughput at population 512.
 
     The hierarchical regime the sharding layer exists for: 8 shards cut
-    the quadratic protocol work by ~8x, and the process backends overlap
+    the quadratic protocol work by ~8x, and the process backend overlaps
     the shard sub-rounds across cores on top of that.  ``process`` moves
-    shard vectors over the shared-memory transport; ``process-pickle``
-    ships them inside the task pickle — the before/after pair for the
+    shard vectors over the shared-memory transport; ``process-no-shm``
+    takes the fallback of platforms without shared memory and ships
+    them inside the task pickle — the before/after pair for the
     vector-transport comparison.
     """
+    if not shm:
+        import repro.simulation.sharding as sharding
+
+        monkeypatch.setattr(sharding, "shared_memory_available", lambda: False)
     population_size, shards = 512, 8
     # Three rounds: a single ~1.3s round is too noisy to compare the
     # vector transports, and the reused shared-memory block only shows
@@ -255,6 +266,7 @@ def test_rounds_per_second_full_cohort_sharded(backend, emit, bench_rng):
     emit(
         f"sim_throughput_full population={population_size:4d} "
         f"dropout={DROPOUT_RATE} shards={shards} backend={backend} "
+        f"transport={'shm' if shm else 'pickle'} "
         f"rounds_per_sec={rounds_per_sec:8.3f} dropped={dropped} "
         f"{_wire_suffix(wire)}",
         RESULTS_FILE,

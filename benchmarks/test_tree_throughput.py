@@ -3,11 +3,12 @@
 The hierarchy makes a privacy/cost trade explicit: the clear composer
 adds one modular addition per interior node (free), while the secagg
 composer runs a real outer Bonawitz round per interior node — pairwise
-masking, Shamir sharing and unmasking over ``k`` virtual clients whose
-vectors are full model-length sums.  This benchmark measures that
+masking, Shamir sharing and unmasking over ``k`` child coordinators
+whose vectors are full model-length sums.  This benchmark measures that
 premium for the three shapes the docs discuss:
 
-* ``8 flat-clear``   — the legacy sharded round (baseline);
+* ``8 flat-clear``   — one level of 8 shards, composed in the clear
+                       (baseline);
 * ``8 secagg``       — one outer Bonawitz round over 8 shard sums;
 * ``4x4 secagg``     — a 3-level tree, five composition rounds
                        (4 region nodes + 1 root).
@@ -16,7 +17,7 @@ Every measured round is verified bit-exact against the survivors'
 direct modular sum, so the numbers never come from a broken round.
 Results land in ``benchmarks/results/tree_throughput.txt``.  The
 tier-1 smoke additionally bounds the secagg-compose premium so an
-accidental quadratic blowup in the virtual-client layer fails fast.
+accidental quadratic blowup in the composition round fails fast.
 """
 
 from __future__ import annotations
@@ -127,27 +128,34 @@ def test_secagg_compose_premium_bounded(emit, bench_rng):
 
     The leaf sub-rounds dominate (cohort 48 across 8 shards), so the
     extra composition round should cost a modest fraction of a round.
-    2x slack is generous against wall-clock noise while still catching
-    anything catastrophically slower hiding in the virtual-client or
-    composition-round hot path.
+    Clear and secagg one-round runs alternate, and the guard bounds the
+    median of the 12 per-pair rounds/sec ratios at 2x: the shared
+    2-vCPU host flips between two speeds ~1.45x apart at sub-second
+    intervals, so one clear run against one secagg run can trip on a
+    fast clear run alone.  2x slack still catches anything
+    catastrophically slower hiding in the composition-round hot path.
     """
     population_size, cohort = 128, 48
-    clear_rps, _ = _run_tree_rounds(
-        population_size, cohort, num_rounds=2, bench_rng=bench_rng,
-        topology="8", composer="clear",
+
+    def one_round(composer: str) -> float:
+        return _run_tree_rounds(
+            population_size, cohort, num_rounds=1, bench_rng=bench_rng,
+            topology="8", composer=composer,
+        )[0]
+
+    pairs = np.array(
+        [(one_round("clear"), one_round("secagg")) for _ in range(12)]
     )
-    secagg_rps, _ = _run_tree_rounds(
-        population_size, cohort, num_rounds=2, bench_rng=bench_rng,
-        topology="8", composer="secagg",
-    )
+    clear_rps, secagg_rps = np.median(pairs, axis=0)
+    ratio = float(np.median(pairs[:, 0] / pairs[:, 1]))
     emit(
         f"tree_compose_premium population={population_size:4d} "
         f"cohort<={cohort:3d} clear_rps={clear_rps:8.3f} "
         f"secagg_rps={secagg_rps:8.3f} "
-        f"premium={100 * (clear_rps / secagg_rps - 1):+.1f}%",
+        f"premium={100 * (ratio - 1):+.1f}%",
         RESULTS_FILE,
     )
-    assert secagg_rps * 2.0 >= clear_rps
+    assert ratio <= 2.0
 
 
 def test_rebalance_overhead(emit, bench_rng):

@@ -8,8 +8,8 @@ shapes:
 * 2-level clear   — 8 leaf shards, sums composed by modular addition
                     (the composing server sees every shard sum);
 * 2-level secagg  — 8 leaf shards, composed by an *outer* Bonawitz
-                    round over virtual clients (shard sums stay
-                    masked);
+                    round with one client per shard sum (shard sums
+                    stay masked);
 * 3-level secagg  — a 4x4 region→global tree, every interior level
                     SecAgg-composed.
 

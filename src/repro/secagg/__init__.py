@@ -16,7 +16,7 @@ Three layers, lowest fidelity first:
   client/server sessions that every transport
   (:func:`~repro.secagg.bonawitz.run_bonawitz` synchronous loop,
   :class:`repro.simulation.rounds.AsyncSecAggRound` mailbox,
-  the sharded process backends) drives identically.
+  :mod:`repro.net` sockets) drives identically.
 """
 
 from repro.secagg.bonawitz import (
@@ -57,12 +57,7 @@ from repro.secagg.compose import (
     get_composer,
 )
 from repro.secagg.field import DEFAULT_FIELD, MERSENNE_61, PrimeField
-from repro.secagg.tree import (
-    TreeNode,
-    TreeTopology,
-    VirtualClient,
-    run_composition_round,
-)
+from repro.secagg.tree import TreeNode, TreeTopology
 from repro.secagg.kernels import (
     DEFAULT_MASK_PRG,
     MASK_PRGS,
@@ -82,7 +77,6 @@ from repro.secagg.keys import (
 )
 from repro.secagg.prg import expand_mask, pairwise_delta
 from repro.secagg.protocol import (
-    PairwiseMaskProtocol,
     SecureAggregator,
     ZeroSumMaskProtocol,
     secure_sum,
@@ -122,7 +116,6 @@ __all__ = [
     "OAKLEY_GROUP_2_PRIME",
     "PHASE_TAGS",
     "PROTOCOL_V1",
-    "PairwiseMaskProtocol",
     "PhiloxPrg",
     "PrimeField",
     "Reject",
@@ -138,7 +131,6 @@ __all__ = [
     "TreeTopology",
     "UnmaskRequest",
     "UnmaskResponse",
-    "VirtualClient",
     "WIRE_FORMAT_VERSION",
     "WireStats",
     "ZeroSumMaskProtocol",
@@ -156,7 +148,6 @@ __all__ = [
     "reconstruct_secret",
     "reconstruct_secrets",
     "run_bonawitz",
-    "run_composition_round",
     "secure_sum",
     "split_large_secret",
     "split_secret",

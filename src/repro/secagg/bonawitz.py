@@ -94,6 +94,8 @@ from repro.secagg.wire import (
     UnmaskRequest,
     WireStats,
 )
+from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.spans import time_phase
 
 #: Protocol round identifiers, for dropout schedules and error messages.
 ROUND_ADVERTISE = 0
@@ -853,8 +855,14 @@ def run_bonawitz(
     dropouts: dict[int, int] | None = None,
     field: PrimeField = DEFAULT_FIELD,
     mask_prg: MaskPrg | str | None = None,
+    metrics: MetricsRegistry | None = None,
 ) -> AggregationOutcome:
     """Execute the full four-round protocol over simulated clients.
+
+    The one synchronous in-memory driver over the sans-I/O sessions:
+    the CLI, the swarm's digest oracle, ``secure_sum(scheme="bonawitz")``
+    and the tree's :class:`~repro.secagg.compose.SecAggComposer` all run
+    their rounds through it.
 
     Args:
         inputs: ``(n, d)`` integer array, one row per client, over
@@ -873,6 +881,10 @@ def run_bonawitz(
             round (0-3) at which that client stops responding.
         field: Shamir sharing field.
         mask_prg: Mask PRG backend shared by all participants.
+        metrics: Optional registry the sessions meter into; each
+            phase's wall time is also observed into
+            ``secagg_phase_wall_duration_seconds``, the family the
+            mailbox and socket transports use.
 
     Returns:
         The aggregation outcome.
@@ -884,7 +896,11 @@ def run_bonawitz(
     # Imported here: the sans-I/O sessions live above this module in the
     # layering (statemachine imports the crypto classes defined here).
     from repro.secagg.keys import TOY_GROUP
-    from repro.secagg.statemachine import ClientSession, ServerSession
+    from repro.secagg.statemachine import (
+        PHASE_TAGS,
+        ClientSession,
+        ServerSession,
+    )
 
     inputs = _validate_inputs(np.asarray(inputs), modulus)
     num_clients, dimension = inputs.shape
@@ -903,6 +919,24 @@ def run_bonawitz(
     def alive(index: int, round_id: int) -> bool:
         return dropouts.get(index, ROUND_UNMASK + 1) > round_id
 
+    phase_wall = (
+        metrics.histogram(
+            "secagg_phase_wall_duration_seconds",
+            "Wall-clock compute seconds per protocol phase.",
+        )
+        if metrics is not None
+        else None
+    )
+
+    def phase_span(phase: int):
+        tag = PHASE_TAGS[phase]
+        return time_phase(
+            tag,
+            wall_histogram=phase_wall.labels(phase=tag)
+            if phase_wall is not None
+            else None,
+        )
+
     sessions = {
         i
         + 1: ClientSession(
@@ -914,35 +948,39 @@ def run_bonawitz(
             group=group,
             field=field,
             mask_prg=mask_prg,
+            metrics=metrics,
         )
         for i in range(num_clients)
     }
     server = ServerSession(
-        modulus, dimension, threshold, field, group, mask_prg
+        modulus, dimension, threshold, field, group, mask_prg, metrics=metrics
     )
 
     # Phase 0 — every live client opens with Hello + Advertise.
-    for u in sorted(sessions):
-        if alive(u, ROUND_ADVERTISE):
-            server.receive(b"".join(sessions[u].start()), sender=u)
-    deliveries = server.advance()
-    # Pre-derive the roster's pairwise DH keys in one vectorised sweep
-    # (a pure memoisation warm-up; see warm_pairwise_agreements).
-    warm_pairwise_agreements(
-        [sessions[u].crypto for u in sorted(server.expected)]
-    )
+    with phase_span(ROUND_ADVERTISE):
+        for u in sorted(sessions):
+            if alive(u, ROUND_ADVERTISE):
+                server.receive(b"".join(sessions[u].start()), sender=u)
+        deliveries = server.advance()
+        # Pre-derive the roster's pairwise DH keys in one vectorised
+        # sweep (a pure memoisation warm-up; see
+        # warm_pairwise_agreements).
+        warm_pairwise_agreements(
+            [sessions[u].crypto for u in sorted(server.expected)]
+        )
 
     # Phases 1-3 — deliver the server's datagrams to each live client
     # and feed the responses straight back; a client that dropped at a
     # phase neither receives nor responds (it stopped talking).
     for phase in (ROUND_SHARE_KEYS, ROUND_MASKED_INPUT, ROUND_UNMASK):
-        for u in sorted(deliveries):
-            if not alive(u, phase):
-                continue
-            responses = sessions[u].handle(deliveries[u])
-            if responses and sessions[u].rejected is None:
-                server.receive(b"".join(responses), sender=u)
-        deliveries = server.advance()
+        with phase_span(phase):
+            for u in sorted(deliveries):
+                if not alive(u, phase):
+                    continue
+                responses = sessions[u].handle(deliveries[u])
+                if responses and sessions[u].rejected is None:
+                    server.receive(b"".join(responses), sender=u)
+            deliveries = server.advance()
 
     included = server.included
     return AggregationOutcome(

@@ -16,12 +16,13 @@ Two interchangeable :class:`Composer` strategies exist:
   survivor sets.  That identity is what the simulation's
   ``verify_aggregate`` oracle asserts round by round.
 * :class:`SecAggComposer` — an outer Bonawitz round over the child
-  sums, each wrapped in a :class:`~repro.secagg.tree.VirtualClient`,
-  so the composing node only ever receives *masked* inputs and no
-  intermediate aggregate is exposed.  Masks cancel over the (complete)
-  virtual-client set, so the composed sum is bit-identical to the
-  clear composition — the composer changes who can see what, never
-  the sum.
+  sums, run by :func:`~repro.secagg.bonawitz.run_bonawitz` with one
+  client per child, so the composing node only ever receives *masked*
+  inputs and no intermediate aggregate is exposed.  The threshold is
+  the child count: children are in-process coordinators that never
+  drop, so masks cancel over the complete set and the composed sum is
+  bit-identical to the clear composition — the composer changes who
+  can see what, never the sum.
 """
 
 from __future__ import annotations
@@ -34,10 +35,33 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.secagg.bonawitz import run_bonawitz
 
 if TYPE_CHECKING:
     from repro.secagg.wire import WireStats
     from repro.telemetry.registry import MetricsRegistry
+
+
+def _reduced_sums(
+    shard_sums: Sequence[np.ndarray], modulus: int
+) -> list[np.ndarray]:
+    """Validate child sums and reduce each into ``Z_m``.
+
+    Raises:
+        ConfigurationError: If no sums are given, the modulus is below
+            2, or the sums do not share one 1-d shape.
+    """
+    if modulus < 2:
+        raise ConfigurationError(f"modulus must be >= 2, got {modulus}")
+    if not shard_sums:
+        raise ConfigurationError("need at least one shard sum to compose")
+    arrays = [np.asarray(shard_sum, dtype=np.int64) for shard_sum in shard_sums]
+    shapes = {array.shape for array in arrays}
+    if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+        raise ConfigurationError(
+            f"shard sums must share one 1-d shape, got {shapes}"
+        )
+    return [np.mod(array, modulus) for array in arrays]
 
 
 def compose_shard_sums(
@@ -58,18 +82,9 @@ def compose_shard_sums(
     Raises:
         ConfigurationError: If no sums are given or shapes disagree.
     """
-    if modulus < 2:
-        raise ConfigurationError(f"modulus must be >= 2, got {modulus}")
-    if not shard_sums:
-        raise ConfigurationError("need at least one shard sum to compose")
-    arrays = [np.asarray(shard_sum, dtype=np.int64) for shard_sum in shard_sums]
-    shapes = {array.shape for array in arrays}
-    if len(shapes) != 1 or len(next(iter(shapes))) != 1:
-        raise ConfigurationError(
-            f"shard sums must share one 1-d shape, got {shapes}"
-        )
-    total = np.zeros_like(arrays[0])
-    for array in arrays:
+    arrays = _reduced_sums(shard_sums, modulus)
+    total = arrays[0]
+    for array in arrays[1:]:
         total = np.mod(total + array, modulus)
     return total
 
@@ -148,11 +163,13 @@ class ClearComposer(Composer):
 class SecAggComposer(Composer):
     """An outer Bonawitz round over the child sums.
 
-    Each child sum becomes a virtual client's private input, so the
-    composing node only receives masked frames and no intermediate
-    aggregate is ever exposed.  A single child is passed through
-    unchanged (there is nothing to hide from a node with one child —
-    its "intermediate" sum *is* its output).
+    Each child sum becomes one client's private input to
+    :func:`~repro.secagg.bonawitz.run_bonawitz`, so the composing node
+    only receives masked frames and no intermediate aggregate is ever
+    exposed.  The Shamir threshold is the child count, so a lost child
+    fails the round loudly instead of being recovered around.  A
+    single child is passed through (there is nothing to hide from a
+    node with one child — its "intermediate" sum *is* its output).
     """
 
     name = "secagg"
@@ -168,25 +185,22 @@ class SecAggComposer(Composer):
         level: int = 0,
         metrics: "MetricsRegistry | None" = None,
     ) -> ComposeResult:
-        if not child_sums:
-            raise ConfigurationError("need at least one shard sum to compose")
-        if len(child_sums) == 1:
-            only = np.asarray(child_sums[0], dtype=np.int64)
-            return ComposeResult(modular_sum=np.mod(only, modulus))
+        arrays = _reduced_sums(child_sums, modulus)
+        if len(arrays) == 1:
+            return ComposeResult(modular_sum=arrays[0])
         if rng is None:
             raise ConfigurationError(
                 "the secagg composer needs node-local randomness (rng)"
             )
-        from repro.secagg.tree import run_composition_round
-
-        modular_sum, wire = run_composition_round(
-            child_sums,
+        outcome = run_bonawitz(
+            np.stack(arrays),
             modulus,
-            rng,
+            threshold=len(arrays),
+            rng=rng,
             mask_prg=self._mask_prg,
             metrics=metrics,
         )
-        return ComposeResult(modular_sum=modular_sum, wire=wire)
+        return ComposeResult(modular_sum=outcome.modular_sum, wire=outcome.wire)
 
 
 #: Composer registry keyed by the ``--compose`` / config knob value.
@@ -201,9 +215,8 @@ def get_composer(
 ) -> Composer:
     """Resolve a composer instance from a name, instance, or ``None``.
 
-    ``None`` defaults to the clear composer (the legacy sharded-round
-    behaviour).  Instances pass through so callers can inject
-    custom strategies.
+    ``None`` defaults to the clear composer.  Instances pass through
+    so callers can inject custom strategies.
     """
     if composer is None:
         return ClearComposer()

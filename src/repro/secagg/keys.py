@@ -269,6 +269,11 @@ def generate_keypair(
 #: fresh every round, so old entries are dead weight, and one-at-a-time
 #: FIFO eviction on a large dict degrades quadratically on tombstones.
 _PAIR_CACHE_MAX = 300_000
+#: Below this many pairs :func:`warm_agreement_cache` uses scalar
+#: ``pow``: the vectorised sweep costs a fixed ~4 ms (two array passes
+#: per exponent bit) against ~25 us per scalar pair on a 2-vCPU x86
+#: host, so it only wins from about 150 pairs (an 18-client roster).
+_WARM_SCALAR_MAX_PAIRS = 128
 _pair_caches: dict[tuple[object, object], dict[tuple[int, int], bytes]] = {}
 
 
@@ -398,11 +403,19 @@ def warm_agreement_cache(
     )
     public_array = np.asarray([publics[i] for i in indices], dtype=np.uint64)
     lo_lane, hi_lane = np.triu_indices(len(indices), k=1)
-    shared = pow_mod_elementwise(
-        public_array[hi_lane], private_array[lo_lane], group.prime
-    ).tolist()
     pub_lo = public_array[lo_lane].tolist()
     pub_hi = public_array[hi_lane].tolist()
+    if len(pub_lo) > _WARM_SCALAR_MAX_PAIRS:
+        shared = pow_mod_elementwise(
+            public_array[hi_lane], private_array[lo_lane], group.prime
+        ).tolist()
+    else:
+        shared = [
+            pow(public, private, group.prime)
+            for public, private in zip(
+                pub_hi, private_array[lo_lane].tolist()
+            )
+        ]
     width = (group.prime.bit_length() + 7) // 8
     sha256 = hashlib.sha256
     cache = _group_cache(group)

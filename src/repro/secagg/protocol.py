@@ -24,17 +24,11 @@ it faithfully:
    is the fast input/output contract the experiment pipelines batch
    against.
 
-Two mask schemes are provided.  :class:`PairwiseMaskProtocol` mirrors the
-real protocol's mask structure — each unordered pair of participants
-expands a shared seed into a mask that one adds and the other subtracts
-(``O(n^2 d)`` work) — and since the sans-I/O refactor it expands those
-masks through the *same* kernel layer the Bonawitz core uses
-(:func:`repro.secagg.kernels.sum_signed_masks`), so the repository has
-exactly one pairwise-mask implementation.  :class:`ZeroSumMaskProtocol`
-samples ``n - 1`` uniform masks and gives the last participant the
-negated sum (``O(n d)`` work) — the same marginal-uniformity and
-cancellation properties under the paper's honest-but-curious,
-no-collusion threat model, used by the experiment pipelines for speed.
+:class:`ZeroSumMaskProtocol` samples ``n - 1`` uniform masks and gives
+the last participant the negated sum (``O(n d)`` work): each message is
+marginally uniform and the masks cancel in the aggregate, the view the
+real protocol's pairwise masks present under the paper's
+honest-but-curious, no-collusion threat model.
 """
 
 from __future__ import annotations
@@ -44,7 +38,6 @@ import abc
 import numpy as np
 
 from repro.errors import AggregationError, ConfigurationError
-from repro.secagg.kernels import MaskPrg, get_mask_prg, sum_signed_masks
 
 
 def _validate_inputs(inputs: np.ndarray, modulus: int) -> np.ndarray:
@@ -117,70 +110,14 @@ class SecureAggregator(abc.ABC):
         return np.mod(messages.sum(axis=0, dtype=np.int64), self._modulus)
 
 
-class PairwiseMaskProtocol(SecureAggregator):
-    """Pairwise-mask structure of the real protocol, over the kernel core.
-
-    Each unordered pair ``(i, j)`` with ``i < j`` shares a seed; the seed
-    expands into a uniform vector over ``Z_m`` that participant ``i`` adds
-    and participant ``j`` subtracts.  Masks therefore cancel exactly in
-    the aggregate while each individual message is marginally uniform.
-
-    The expansion runs on the same :class:`~repro.secagg.kernels.MaskPrg`
-    backends the Bonawitz sessions negotiate on the wire — this class is
-    a trivial no-dropout driver over that core, kept for the experiment
-    pipelines; for protocol fidelity (key agreement, Shamir recovery,
-    versioned wire messages) use ``secure_sum(scheme="bonawitz")``.
-
-    Args:
-        modulus: The group modulus ``m``; must be an even integer >= 2.
-        rng: Generator the pairwise seeds are drawn from.
-        mask_prg: Mask PRG backend name or instance (``"sha256-ctr"``
-            default, ``"philox"`` fast).
-    """
-
-    def __init__(
-        self,
-        modulus: int,
-        rng: np.random.Generator,
-        mask_prg: MaskPrg | str | None = None,
-    ) -> None:
-        super().__init__(modulus, rng)
-        self._mask_prg = get_mask_prg(mask_prg)
-
-    def _masks(self, num_participants: int, dimension: int) -> np.ndarray:
-        masks = np.zeros((num_participants, dimension), dtype=np.int64)
-        # One 16-byte seed per unordered pair, drawn in deterministic
-        # (i, j) order; participant i carries +PRG(s_ij), j carries
-        # -PRG(s_ij) — the Bonawitz sign convention.
-        seeds_per_peer: list[list[bytes]] = [[] for _ in range(num_participants)]
-        signs_per_peer: list[list[int]] = [[] for _ in range(num_participants)]
-        for i in range(num_participants):
-            for j in range(i + 1, num_participants):
-                seed = self._rng.bytes(16)
-                seeds_per_peer[i].append(seed)
-                signs_per_peer[i].append(1)
-                seeds_per_peer[j].append(seed)
-                signs_per_peer[j].append(-1)
-        for i in range(num_participants):
-            if seeds_per_peer[i]:
-                masks[i] = sum_signed_masks(
-                    seeds_per_peer[i],
-                    signs_per_peer[i],
-                    dimension,
-                    self._modulus,
-                    self._mask_prg,
-                )
-        return masks
-
-
 class ZeroSumMaskProtocol(SecureAggregator):
     """Efficient zero-sum mask SecAgg for large simulations.
 
     Samples ``n - 1`` uniform masks and assigns the last participant the
     negated modular sum.  Under the paper's threat model (honest-but-
     curious, no two parties collude) this presents the same view as the
-    pairwise protocol: each message is marginally uniform and only the
-    modular sum is revealed.
+    real protocol's pairwise masks: each message is marginally uniform
+    and only the modular sum is revealed.
     """
 
     def _masks(self, num_participants: int, dimension: int) -> np.ndarray:
@@ -207,10 +144,10 @@ def secure_sum(
         inputs: ``(n, d)`` integer array with entries in ``Z_m``.
         modulus: The group modulus ``m``.
         rng: Generator for mask randomness.
-        scheme: ``"zero-sum"`` (fast), ``"pairwise"`` (faithful masks), or
-            ``"bonawitz"`` (the full four-round protocol of
-            :mod:`repro.secagg.bonawitz` with a majority threshold —
-            slowest, highest fidelity; requires ``n >= 2``).
+        scheme: ``"zero-sum"`` (fast) or ``"bonawitz"`` (the full
+            four-round protocol of :mod:`repro.secagg.bonawitz` with a
+            majority threshold — slowest, highest fidelity; requires
+            ``n >= 2``).
 
     Returns:
         Length-``d`` modular sum.
@@ -221,13 +158,9 @@ def secure_sum(
         num_participants = np.asarray(inputs).shape[0]
         threshold = max(2, num_participants // 2 + 1)
         return run_bonawitz(inputs, modulus, threshold, rng).modular_sum
-    protocols = {
-        "zero-sum": ZeroSumMaskProtocol,
-        "pairwise": PairwiseMaskProtocol,
-    }
-    if scheme not in protocols:
+    if scheme != "zero-sum":
         raise ConfigurationError(
             f"unknown scheme {scheme!r}; expected one of "
-            f"{sorted(protocols) + ['bonawitz']}"
+            "['zero-sum', 'bonawitz']"
         )
-    return protocols[scheme](modulus, rng).run(inputs)
+    return ZeroSumMaskProtocol(modulus, rng).run(inputs)

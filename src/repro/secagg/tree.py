@@ -1,59 +1,29 @@
-"""N-level aggregation trees: topology, virtual clients, compose rounds.
+"""N-level aggregation trees: the topology and its cohort partition.
 
 Sharded rounds (:mod:`repro.simulation.hierarchy`) cut the Bonawitz
 protocol's ``O(n^2)`` cost by running one independent SecAgg instance
-per shard — but composing the shard sums *in the clear* shows the
-server every intermediate aggregate, exactly the exposure Truex et al.
-("A Hybrid Approach to Privacy-Preserving Federated Learning") and
-DDP-SA argue breaks end-to-end distributed-DP guarantees.  This module
-supplies the protocol-level pieces that close it:
+per leaf shard and composing the shard sums at every interior node of
+a tree.  This module holds the tree's shape:
 
+* :func:`partition_members` — the round-robin partition rule shared by
+  every level of the tree.
 * :class:`TreeTopology` — the shape of an N-level region→…→global
-  aggregation tree (branching factors from the root down), with the
-  recursive cohort partition that reuses the flat round-robin rule at
-  every level, so a one-level tree is *bit-identical* to the legacy
-  sharded partition.
-* :class:`VirtualClient` — a shard (or region) coordinator acting as a
-  client of its *parent* aggregation round: a thin adapter over the
-  sans-I/O :class:`~repro.secagg.statemachine.ClientSession`, fed the
-  subtree's modular sum as its private input vector.  The adapter's
-  public API is wire frames only — the plaintext sum is deliberately
-  unreachable from the parent round, which is the whole point.
-* :func:`run_composition_round` — a synchronous in-memory Bonawitz
-  round over virtual clients (the same sans-I/O core every transport
-  drives), so every interior node of the tree sees only *masked*
-  child sums and recovers exactly ``Σ child_sums mod m``.
+  aggregation tree (branching factors from the root down), whose
+  recursive cohort partition applies that rule level by level.
+* :class:`TreeNode` — one node of a partitioned tree.
 
-Because pairwise masks cancel over the full survivor set and every
-virtual client is an in-process coordinator that never drops, the
-composition round's output is bit-identical to the clear modular
-composition — the tree changes *who can see what*, never the sum.
+How interior nodes combine their children's sums — in the clear, or
+through an outer Bonawitz round that keeps every intermediate sum
+masked — is :mod:`repro.secagg.compose`'s job.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
-import numpy as np
-
-from repro.errors import AggregationError, ConfigurationError
-from repro.secagg.bonawitz import (
-    ROUND_MASKED_INPUT,
-    ROUND_SHARE_KEYS,
-    ROUND_UNMASK,
-)
-from repro.secagg.field import DEFAULT_FIELD, PrimeField
-from repro.secagg.keys import TOY_GROUP, DhGroup
-from repro.secagg.statemachine import (
-    PHASE_TAGS,
-    ClientSession,
-    ServerSession,
-)
-from repro.secagg.wire import WireStats
-from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.spans import time_phase
+from repro.errors import ConfigurationError
 
 #: A Bonawitz instance needs at least two parties; a shard below this
 #: size is never formed (shared with the flat partition rule).
@@ -74,8 +44,7 @@ class TreeNode:
         children: Child nodes; empty for a leaf shard.
         leaf_index: Flat depth-first leaf position (``None`` for
             interior nodes) — the spawn key selecting the leaf's RNG
-            stream, identical to the legacy shard index for a
-            one-level tree.
+            stream.
     """
 
     level: int
@@ -111,8 +80,7 @@ def partition_members(
     """Deterministically partition members into balanced groups.
 
     Round-robin over the sorted member list — the single partition rule
-    shared by every level of the tree (and by the legacy flat sharding
-    path): group ``i`` receives every ``k``-th member starting at
+    shared by every level of the tree: group ``i`` receives every ``k``-th member starting at
     offset ``i``, so group sizes differ by at most one and the
     assignment depends only on the members and ``k``.  The effective
     group count is capped so every group keeps at least
@@ -147,8 +115,7 @@ class TreeTopology:
 
     Attributes:
         branching: Requested fan-out per level, root first; every
-            entry must be >= 1 and the root entry is the legacy
-            ``shards`` knob for a single-level tree.
+            entry must be >= 1.
     """
 
     branching: tuple[int, ...]
@@ -185,7 +152,7 @@ class TreeTopology:
 
     @property
     def levels(self) -> int:
-        """Number of aggregation levels (1 = the legacy flat sharding)."""
+        """Number of aggregation levels (1 = shard→global)."""
         return len(self.branching)
 
     def describe(self) -> str:
@@ -196,9 +163,7 @@ class TreeTopology:
         """Partition a cohort into this topology's concrete tree.
 
         Recursively applies :func:`partition_members` level by level;
-        leaf shards receive depth-first ``leaf_index`` values, so a
-        one-level tree reproduces the legacy flat shard indices
-        exactly.
+        leaf shards receive depth-first ``leaf_index`` values.
         """
         members = tuple(sorted(cohort))
         counter = {"next_leaf": 0}
@@ -231,12 +196,8 @@ class TreeTopology:
                 )
                 for child_index, group in enumerate(groups)
             )
-            if len(children) == 1 and not children[0].is_leaf:
-                # A degenerate single-child interior node adds nothing;
-                # keep it anyway — path determinism matters more than
-                # tree minimality, and composition passes one child
-                # straight through.
-                pass
+            # A single-child interior node is kept: path determinism
+            # matters more than tree minimality.
             return TreeNode(
                 level=level,
                 index=index,
@@ -246,200 +207,3 @@ class TreeTopology:
             )
 
         return build(members, 0, 0, (), self.branching)
-
-
-class VirtualClient:
-    """A subtree coordinator participating in its parent's SecAgg round.
-
-    The adapter wraps a sans-I/O
-    :class:`~repro.secagg.statemachine.ClientSession` whose private
-    input vector is the subtree's modular sum.  Its public API is
-    **wire frames only** — :meth:`start` and :meth:`handle` — so the
-    parent round's inputs are masked datagrams and the plaintext sum is
-    not reachable from the parent round through this object.  (That
-    reachability property is what the hierarchy's privacy tests
-    assert; it is the reason the outer level can be SecAgg-composed at
-    all.)
-
-    Args:
-        index: The virtual client's nonzero index within the parent
-            round (child position + 1).
-        subtree_sum: The subtree's modular sum — consumed here, never
-            stored on a public attribute.
-        modulus: Aggregation modulus ``m``.
-        threshold: The parent round's Shamir threshold.
-        rng: Coordinator-local randomness.
-        group: DH group (must match the parent server's).
-        field: Shamir sharing field.
-        mask_prg: Mask PRG backend shared by the parent round.
-    """
-
-    def __init__(
-        self,
-        index: int,
-        subtree_sum: np.ndarray,
-        modulus: int,
-        threshold: int,
-        rng: np.random.Generator,
-        group: DhGroup | None = None,
-        field: PrimeField = DEFAULT_FIELD,
-        mask_prg: str | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        self.index = index
-        # Name-mangled on purpose: the session (and through it the raw
-        # subtree sum) must not be part of the adapter's public surface.
-        self.__session = ClientSession(
-            index=index,
-            vector=np.asarray(subtree_sum, dtype=np.int64),
-            modulus=modulus,
-            threshold=threshold,
-            rng=rng,
-            group=group if group is not None else TOY_GROUP,
-            field=field,
-            mask_prg=mask_prg,
-            metrics=metrics,
-        )
-
-    def start(self) -> bytes:
-        """Open the parent round: Hello + key advertisement frames."""
-        return b"".join(self.__session.start())
-
-    def handle(self, data: bytes) -> bytes:
-        """Process one parent-server datagram; returns response frames."""
-        if self.__session.rejected is not None:
-            raise AggregationError(
-                f"virtual client {self.index} was rejected at Hello"
-            )
-        response = b"".join(self.__session.handle(data))
-        if self.__session.rejected is not None:
-            raise AggregationError(
-                f"virtual client {self.index} rejected by the parent "
-                f"round: {self.__session.rejected}"
-            )
-        return response
-
-    def __repr__(self) -> str:  # Never leak the vector through repr.
-        return f"VirtualClient(index={self.index})"
-
-
-def run_composition_round(
-    child_sums: Sequence[np.ndarray],
-    modulus: int,
-    rng: np.random.Generator,
-    group: DhGroup | None = None,
-    field: PrimeField = DEFAULT_FIELD,
-    mask_prg: str | None = None,
-    metrics: MetricsRegistry | None = None,
-) -> tuple[np.ndarray, WireStats]:
-    """One interior tree node's Bonawitz round over its children.
-
-    Each child sum becomes a :class:`VirtualClient`'s private input and
-    the node runs a complete four-phase round over the sans-I/O
-    sessions — the parent only ever receives masked inputs, and the
-    recovered aggregate equals ``Σ child_sums mod m`` bit-identically
-    (all virtual clients survive, so every pairwise mask cancels).
-
-    The Shamir threshold is the full child count: coordinators are
-    in-process and never drop, so the round tolerates no dropout and
-    fails loudly on any protocol defect instead of silently recovering.
-
-    With ``metrics``, each phase's wall time is observed into the same
-    ``secagg_phase_wall_duration_seconds`` family the transports use
-    (the caller adds the per-level label when absorbing the snapshot).
-
-    Returns:
-        ``(modular_sum, wire_stats)`` for the composition round.
-
-    Raises:
-        ConfigurationError: With fewer than two child sums (a single
-            child needs no composition — callers pass it through).
-        AggregationError: On any protocol failure.
-    """
-    if len(child_sums) < 2:
-        raise ConfigurationError(
-            "a composition round needs at least two child sums, got "
-            f"{len(child_sums)}"
-        )
-    arrays = [np.asarray(child, dtype=np.int64) for child in child_sums]
-    shapes = {array.shape for array in arrays}
-    if len(shapes) != 1 or len(next(iter(shapes))) != 1:
-        raise ConfigurationError(
-            f"child sums must share one 1-d shape, got {shapes}"
-        )
-    dimension = arrays[0].shape[0]
-    threshold = len(arrays)
-    group = group if group is not None else TOY_GROUP
-    # Per-child generators spawn in child order, mirroring the leaf
-    # transports' sorted-index convention.
-    clients = [
-        VirtualClient(
-            index=position + 1,
-            subtree_sum=array,
-            modulus=modulus,
-            threshold=threshold,
-            rng=np.random.default_rng(int(rng.integers(0, 2**63))),
-            group=group,
-            field=field,
-            mask_prg=mask_prg,
-            metrics=metrics,
-        )
-        for position, array in enumerate(arrays)
-    ]
-    server = ServerSession(
-        modulus,
-        dimension,
-        threshold,
-        field,
-        group,
-        mask_prg,
-        metrics=metrics,
-    )
-    phase_histogram = (
-        metrics.histogram(
-            "secagg_phase_wall_duration_seconds",
-            "Wall-clock compute seconds per protocol phase.",
-        )
-        if metrics is not None
-        else None
-    )
-
-    def phase_span(phase: int):
-        if phase_histogram is None:
-            return _NULL_SPAN
-        return time_phase(
-            PHASE_TAGS[phase],
-            wall_histogram=phase_histogram.labels(phase=PHASE_TAGS[phase]),
-        )
-
-    from repro.secagg.bonawitz import ROUND_ADVERTISE
-
-    with phase_span(ROUND_ADVERTISE):
-        for client in clients:
-            server.receive(client.start(), sender=client.index)
-        deliveries = server.advance()
-    by_index = {client.index: client for client in clients}
-    for phase in (ROUND_SHARE_KEYS, ROUND_MASKED_INPUT, ROUND_UNMASK):
-        with phase_span(phase):
-            for index in sorted(deliveries):
-                response = by_index[index].handle(deliveries[index])
-                if response:
-                    server.receive(response, sender=index)
-            deliveries = server.advance()
-    if server.included != frozenset(by_index):
-        raise AggregationError(
-            "a composition round lost a virtual client — coordinators "
-            "are in-process and must never drop"
-        )
-    return server.modular_sum, server.stats
-
-
-class _NullSpan:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-
-_NULL_SPAN = _NullSpan()

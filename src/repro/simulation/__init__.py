@@ -18,7 +18,7 @@ Layering (each module only depends on the ones above it):
 * :mod:`~repro.simulation.rounds` — dropout-tolerant async SecAgg round
   driver over the ``secagg.bonawitz`` state machines.
 * :mod:`~repro.simulation.sharding` — level-agnostic sharding
-  primitives: partition/threshold rules, picklable shard tasks, the
+  primitives: the threshold rule, picklable shard tasks, the
   inline/process execution backends.
 * :mod:`~repro.simulation.hierarchy` — N-level aggregation-tree
   orchestration: leaf Bonawitz sub-rounds composed bottom-up by a
@@ -37,10 +37,7 @@ from repro.simulation.engine import (
     SimulationResult,
 )
 from repro.simulation.events import Mailbox, SimulationTrace, TraceEvent
-from repro.simulation.hierarchy import (
-    HierarchicalSecAggRound,
-    ShardedSecAggRound,
-)
+from repro.simulation.hierarchy import HierarchicalSecAggRound
 from repro.simulation.population import (
     AlwaysAvailable,
     AvailabilityModel,
@@ -59,7 +56,6 @@ from repro.simulation.sharding import (
     ShardReport,
     ShardTask,
     get_execution_backend,
-    partition_cohort,
     shamir_threshold,
     validate_threshold_fraction,
 )
@@ -87,7 +83,6 @@ __all__ = [
     "RoundRecord",
     "ShardReport",
     "ShardTask",
-    "ShardedSecAggRound",
     "SharedMemoryTransport",
     "ShmVectorBlock",
     "SimulatedClock",
@@ -99,7 +94,6 @@ __all__ = [
     "TimerHandle",
     "TraceEvent",
     "get_execution_backend",
-    "partition_cohort",
     "shamir_threshold",
     "shared_memory_available",
     "validate_threshold_fraction",

@@ -137,31 +137,26 @@ class SimulationConfig:
             exactly equals the survivors' direct modular sum (a
             simulation-side correctness oracle, not something a real
             server could compute).
-        shards: Number of SecAgg shards per round; ``1`` (default) runs
-            the flat single-instance protocol, ``k > 1`` partitions
-            each cohort into ``k`` hierarchical Bonawitz sub-rounds
-            whose sums compose modularly (bit-identical to the flat sum
-            over the same survivors, ``O(n^2/k)`` total protocol work).
-        tree: Aggregation-tree topology string (e.g. ``"8"`` or
-            ``"4x4"``, root level first); overrides ``shards`` with an
-            N-level region→…→global tree.  ``None`` (default) keeps the
-            flat/``shards`` behaviour.
+        tree: Aggregation-tree topology string, root level first:
+            ``"k"`` partitions each cohort into ``k`` Bonawitz shard
+            sub-rounds whose sums compose at the root (bit-identical to
+            the flat sum over the same survivors, ``O(n^2/k)`` total
+            protocol work); ``"4x4"`` adds a region level.  ``None``
+            (default) runs the flat single-instance protocol.
         compose: How interior tree nodes combine child sums —
-            ``"clear"`` (default, legacy outer modular addition; the
-            composing node sees every intermediate sum) or ``"secagg"``
-            (an outer Bonawitz round over virtual clients; every
-            intermediate sum stays masked).  Sums are bit-identical
-            either way.
+            ``"clear"`` (default, outer modular addition; the composing
+            node sees every intermediate sum) or ``"secagg"`` (an outer
+            Bonawitz round over the child sums; every intermediate sum
+            stays masked).  Sums are bit-identical either way.
         rebalance: Enable cross-shard straggler rebalancing: a shard
             driven below its Shamir threshold before the masking phase
             commits re-homes its survivors onto sibling shards instead
             of dropping them.  Off by default (re-homing changes which
             members contribute, so pinned digests cover the default).
         backend: How shard sub-rounds execute — ``"inline"``
-            (sequential, default), ``"process"`` (a reusable OS process
-            pool with the shared-memory vector transport), or
-            ``"process-pickle"`` (the same pool shipping vectors inside
-            the task pickle); results are bit-identical in all cases.
+            (sequential, default) or ``"process"`` (a reusable OS
+            process pool with the shared-memory vector transport);
+            results are bit-identical either way.
         telemetry: Meter the run into a
             :class:`~repro.telemetry.MetricsRegistry` (phase latencies,
             round/dropout/wire counters, cumulative-epsilon gauge) and
@@ -182,7 +177,7 @@ class SimulationConfig:
             simulated server at the phase — restarted (``kill@``) the
             round is retried once and recorded ``recovered``; without
             restart (``abort@``) the round aborts cleanly.  Kills
-            require the flat topology (no ``shards``/``tree``).
+            require the flat topology (no ``tree``).
             ``None`` (default) injects nothing.
     """
 
@@ -204,7 +199,6 @@ class SimulationConfig:
     dataset: str = "mnist"
     seed: int = 0
     verify_aggregate: bool = False
-    shards: int = 1
     backend: str = "inline"
     tree: str | None = None
     compose: str = "clear"
@@ -214,10 +208,6 @@ class SimulationConfig:
     chaos: str | None = None
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ConfigurationError(
-                f"shards must be >= 1, got {self.shards}"
-            )
         if self.tree is not None:
             TreeTopology.parse(self.tree)  # Raises on a malformed shape.
         if self.compose not in COMPOSERS:
@@ -255,7 +245,7 @@ class SimulationConfig:
             if has_kill and self.aggregation_topology() is not None:
                 raise ConfigurationError(
                     "kill/abort chaos faults require the flat topology "
-                    "(no shards/tree): hierarchical rounds have no "
+                    "(no tree): hierarchical rounds have no "
                     "single server to crash"
                 )
         if self.dataset not in _DATASETS:
@@ -265,16 +255,8 @@ class SimulationConfig:
             )
 
     def aggregation_topology(self) -> TreeTopology | None:
-        """The aggregation tree this run uses, or ``None`` for flat.
-
-        ``tree`` wins over ``shards``; ``shards == 1`` with no tree is
-        the flat single-instance protocol.
-        """
-        if self.tree is not None:
-            return TreeTopology.parse(self.tree)
-        if self.shards > 1:
-            return TreeTopology((self.shards,))
-        return None
+        """The aggregation tree this run uses, or ``None`` for flat."""
+        return TreeTopology.parse(self.tree) if self.tree is not None else None
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,22 +1,24 @@
 """Hierarchical secure aggregation: N-level trees of SecAgg rounds.
 
-:class:`HierarchicalSecAggRound` generalises the flat sharded round to
-an arbitrary region→…→global aggregation tree described by a
-:class:`~repro.secagg.tree.TreeTopology`.  Leaf shards run independent
-dropout-tolerant :class:`~repro.simulation.rounds.AsyncSecAggRound`
-sub-rounds on an :class:`~repro.simulation.sharding.ExecutionBackend`
-exactly as before; every *interior* node then combines its children's
-sums with a pluggable :class:`~repro.secagg.compose.Composer`:
+:class:`HierarchicalSecAggRound` is the one sharded round: it runs a
+cohort over an arbitrary region→…→global aggregation tree described by
+a :class:`~repro.secagg.tree.TreeTopology` (``"8"`` is the 2-level
+shard→global tree, ``"4x4"`` a 3-level one).  Leaf shards run
+independent dropout-tolerant
+:class:`~repro.simulation.rounds.AsyncSecAggRound` sub-rounds on an
+:class:`~repro.simulation.sharding.ExecutionBackend`; every *interior*
+node then combines its children's sums with a pluggable
+:class:`~repro.secagg.compose.Composer`:
 
-* ``"clear"`` — the legacy outer modular addition.  Cheap, but the
-  composing node sees each child's intermediate sum in plaintext.
-* ``"secagg"`` — an outer Bonawitz round in which each child
-  coordinator participates as a
-  :class:`~repro.secagg.tree.VirtualClient` whose private input is its
-  subtree's sum.  The composing node only ever receives masked frames,
-  so no intermediate aggregate is exposed anywhere in the tree — and
-  because masks cancel over the complete virtual-client set, the
-  result is **bit-identical** to the clear composition.
+* ``"clear"`` — outer modular addition.  Cheap, but the composing node
+  sees each child's intermediate sum in plaintext.
+* ``"secagg"`` — an outer Bonawitz round
+  (:func:`~repro.secagg.bonawitz.run_bonawitz`) in which each child
+  coordinator is one client whose private input is its subtree's sum.
+  The composing node only ever receives masked frames, so no
+  intermediate aggregate is exposed anywhere in the tree — and because
+  masks cancel over the complete set of children, the result is
+  **bit-identical** to the clear composition.
 
 Cross-shard straggler rebalancing (``rebalance=True``) closes the
 remaining availability gap: a leaf shard whose survivor count falls
@@ -25,14 +27,13 @@ longer aborts and drops its survivors — they are re-homed round-robin
 onto the smallest sibling shards (same parent node, capped at
 ``max_shard_size``) and those shards re-run as attempt 1 with a
 deterministic extended RNG spawn key.  Rebalancing changes which
-members contribute, so it is opt-in; the default keeps the legacy
-flat and 2-level-clear paths bit-identical to their pinned digests.
+members contribute, so it is opt-in; the default keeps the pinned
+digests of the 2-level clear path bit-identical.
 
-Determinism contract (unchanged from the flat round): one 63-bit
-entropy draw seeds every leaf's spawn-keyed stream; when the composer
-is cryptographic a *second* draw seeds the per-node composition
-streams (``spawn_key=(level, *path)``), so the clear path costs the
-round RNG exactly as many draws as before.
+Determinism contract: one 63-bit entropy draw seeds every leaf's
+spawn-keyed stream; when the composer is cryptographic a *second* draw
+seeds the per-node composition streams (``spawn_key=(level, *path)``),
+so the clear path costs the round RNG a single draw.
 """
 
 from __future__ import annotations
@@ -64,10 +65,7 @@ from repro.simulation.sharding import (
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.spans import time_phase
 
-__all__ = [
-    "HierarchicalSecAggRound",
-    "ShardedSecAggRound",
-]
+__all__ = ["HierarchicalSecAggRound"]
 
 
 @dataclasses.dataclass
@@ -106,12 +104,13 @@ class HierarchicalSecAggRound:
             the composition streams when the composer is
             cryptographic).
         topology: Tree shape (or a parseable string like ``"4x4"``);
-            ``TreeTopology((k,))`` is the legacy flat ``k``-shard case.
+            ``"k"`` (``TreeTopology((k,))``) is the 2-level ``k``-shard
+            case.
         threshold_fraction: Per-shard Shamir threshold as a fraction of
             the shard's size (``max(2, ceil(fraction * len(shard)))``).
         composer: How interior nodes combine child sums — ``"clear"``
-            (legacy outer modular addition, intermediate sums visible),
-            ``"secagg"`` (outer Bonawitz round over virtual clients,
+            (outer modular addition, intermediate sums visible),
+            ``"secagg"`` (outer Bonawitz round over the child sums,
             intermediate sums masked), or a
             :class:`~repro.secagg.compose.Composer` instance.
         plans: Behaviour plan per cohort member.
@@ -127,16 +126,16 @@ class HierarchicalSecAggRound:
             the composition rounds).
         metrics: Optional :class:`~repro.telemetry.MetricsRegistry`.
             Leaf sub-rounds meter into private registries absorbed
-            under a ``shard="<index>"`` label (unchanged from the flat
-            round); composition rounds are absorbed under a
+            under a ``shard="<index>"`` label; composition rounds are
+            absorbed under a
             ``level="<depth>"`` label, so the existing phase
             histograms gain per-level series.  The round additionally
             observes ``tree_level_wall_seconds`` per composed level
             and counts ``tree_rebalance_total`` by outcome.
         rebalance: Enable cross-shard straggler rebalancing (see
             module docstring).  Off by default — re-homing survivors
-            changes which members contribute, so the legacy digests
-            only pin the default.
+            changes which members contribute, so the pinned digests
+            only cover the default.
         max_shard_size: Rebalancing size cap per leaf shard; defaults
             to twice the largest initial shard.
     """
@@ -614,52 +613,4 @@ class HierarchicalSecAggRound:
             completed_at=completed_at,
             wire=wire,
             composer=self._composer.name,
-        )
-
-
-class ShardedSecAggRound(HierarchicalSecAggRound):
-    """The legacy flat ``k``-shard round: a one-level aggregation tree.
-
-    Kept as the stable entry point for 2-level shard→global rounds —
-    ``shards=k`` maps to ``TreeTopology((k,))`` and every other knob
-    passes through, so existing callers (and their pinned digests) are
-    untouched while gaining the ``composer`` and ``rebalance`` options.
-    """
-
-    def __init__(
-        self,
-        vectors: Mapping[int, np.ndarray],
-        modulus: int,
-        clock: SimulatedClock,
-        rng: np.random.Generator,
-        shards: int,
-        threshold_fraction: float = 0.6,
-        plans: Mapping[int, ClientPlan] | None = None,
-        phase_timeout: float = 60.0,
-        backend: ExecutionBackend | str | None = None,
-        trace: SimulationTrace | None = None,
-        mask_prg: str | None = None,
-        metrics: MetricsRegistry | None = None,
-        composer: Composer | str | None = None,
-        rebalance: bool = False,
-        max_shard_size: int | None = None,
-    ) -> None:
-        if shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {shards}")
-        super().__init__(
-            vectors=vectors,
-            modulus=modulus,
-            clock=clock,
-            rng=rng,
-            topology=TreeTopology((shards,)),
-            threshold_fraction=threshold_fraction,
-            composer=composer,
-            plans=plans,
-            phase_timeout=phase_timeout,
-            backend=backend,
-            trace=trace,
-            mask_prg=mask_prg,
-            metrics=metrics,
-            rebalance=rebalance,
-            max_shard_size=max_shard_size,
         )

@@ -22,9 +22,8 @@ work, and the shards are embarrassingly parallel.  The
   :class:`concurrent.futures.ProcessPoolExecutor`, one OS process per
   worker, for multi-core hosts; shard vectors cross the process
   boundary through a reusable shared-memory block
-  (:mod:`repro.simulation.shm`).
-* ``"process-pickle"`` — the same pool with vectors shipped inside the
-  task pickle (the vector-transport comparison baseline).
+  (:mod:`repro.simulation.shm`), or inside the task pickle on
+  platforms without POSIX shared memory.
 
 Both backends produce **bit-identical results**: every shard derives
 its protocol randomness from a spawn-keyed
@@ -48,12 +47,11 @@ survivors are re-homed to sibling shards first).  Only if every shard
 aborts does the round raise :class:`~repro.errors.AggregationError`,
 mirroring the flat driver.
 
-This module holds the level-agnostic primitives — partition rule,
-threshold rule, picklable shard tasks/reports, and the execution
-backends.  Orchestration lives in :mod:`repro.simulation.hierarchy`
-(:class:`~repro.simulation.hierarchy.HierarchicalSecAggRound` and its
-legacy flat-tree alias ``ShardedSecAggRound``, re-exported here for
-backward compatibility).
+This module holds the level-agnostic primitives — threshold rule,
+picklable shard tasks/reports, and the execution backends.  The
+partition rule is :func:`repro.secagg.tree.partition_members`;
+orchestration lives in
+:class:`repro.simulation.hierarchy.HierarchicalSecAggRound`.
 """
 
 from __future__ import annotations
@@ -62,12 +60,12 @@ import abc
 import dataclasses
 import math
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.errors import AggregationError, ConfigurationError
-from repro.secagg.tree import MIN_SHARD_SIZE, partition_members
+from repro.secagg.tree import MIN_SHARD_SIZE
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.events import SimulationTrace, TraceEvent
 from repro.simulation.population import ClientPlan
@@ -89,9 +87,7 @@ __all__ = [
     "ProcessBackend",
     "ShardReport",
     "ShardTask",
-    "ShardedSecAggRound",
     "get_execution_backend",
-    "partition_cohort",
     "run_shard",
     "shamir_threshold",
     "validate_threshold_fraction",
@@ -129,31 +125,6 @@ def shamir_threshold(threshold_fraction: float, cohort_size: int) -> int:
     """
     validate_threshold_fraction(threshold_fraction)
     return max(2, math.ceil(threshold_fraction * cohort_size))
-
-
-def partition_cohort(
-    cohort: Iterable[int], shards: int
-) -> list[tuple[int, ...]]:
-    """Deterministically partition a cohort into balanced shards.
-
-    Round-robin over the sorted member list: shard ``i`` receives every
-    ``k``-th member starting at offset ``i``, so shard sizes differ by
-    at most one and the assignment depends only on the cohort and ``k``.
-    The effective shard count is capped so every shard keeps at least
-    :data:`MIN_SHARD_SIZE` members (a smaller cohort simply gets fewer
-    shards, down to one).
-
-    Args:
-        cohort: Client indices (1-based, any order, no duplicates).
-        shards: Requested shard count ``k >= 1``.
-
-    Returns:
-        Non-empty member tuples, sorted within and across shards.
-
-    Raises:
-        ConfigurationError: If ``shards < 1`` or the cohort is empty.
-    """
-    return partition_members(cohort, shards)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -361,39 +332,26 @@ class ProcessBackend(ExecutionBackend):
     :meth:`close` — or use the backend as a context manager — to reap
     the workers.
 
+    Shard input vectors (and result sums) cross the process boundary
+    through one :mod:`multiprocessing.shared_memory` block per round
+    (:mod:`repro.simulation.shm`), skipping their serialisation
+    entirely; platforms without shared memory ship them inside the task
+    pickle instead.  Results are bit-identical either way.
+
     Args:
         max_workers: Pool width; defaults to
             ``min(cpu_count, _MAX_POOL_WORKERS)`` but at least 2, so
             shards overlap even where the container under-reports cores.
-        vector_transport: How shard input vectors (and result sums)
-            cross the process boundary — ``"shm"`` (default) moves them
-            through one :mod:`multiprocessing.shared_memory` block per
-            round (:mod:`repro.simulation.shm`), ``"pickle"`` ships
-            them inside the task pickle.  Results are bit-identical;
-            shm skips the vector serialisation entirely.  Platforms
-            without shared memory fall back to pickle transparently.
     """
 
     name = "process"
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        vector_transport: str = "shm",
-    ) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError(
                 f"max_workers must be >= 1, got {max_workers}"
             )
-        if vector_transport not in ("shm", "pickle"):
-            raise ConfigurationError(
-                "vector_transport must be 'shm' or 'pickle', got "
-                f"{vector_transport!r}"
-            )
         self._max_workers = max_workers
-        self._vector_transport = vector_transport
-        if vector_transport == "pickle":
-            self.name = "process-pickle"
         self._pool = None
         # One shared block reused across every round this backend runs;
         # built lazily, released with the pool.
@@ -401,12 +359,9 @@ class ProcessBackend(ExecutionBackend):
 
     @property
     def effective_transport(self) -> str:
-        """The vector transport actually in use on this platform —
-        requested ``"shm"`` degrades to ``"pickle"`` where POSIX shared
-        memory is unavailable."""
-        if self._vector_transport == "shm" and shared_memory_available():
-            return "shm"
-        return "pickle"
+        """The vector transport in use on this platform — ``"shm"``,
+        or ``"pickle"`` where POSIX shared memory is unavailable."""
+        return "shm" if shared_memory_available() else "pickle"
 
     def _ensure_pool(self):
         if self._pool is None:
@@ -423,7 +378,7 @@ class ProcessBackend(ExecutionBackend):
     def run_shards(self, tasks: Sequence[ShardTask]) -> list[ShardReport]:
         # map() preserves task order regardless of completion order.
         pool = self._ensure_pool()
-        if self._vector_transport == "shm" and shared_memory_available():
+        if shared_memory_available():
             if self._shm_transport is None:
                 self._shm_transport = SharedMemoryTransport()
             transport = self._shm_transport
@@ -460,16 +415,10 @@ class ProcessBackend(ExecutionBackend):
         self.close()
 
 
-def _pickle_process_backend() -> ProcessBackend:
-    """Registry factory for the pickle-transport process backend."""
-    return ProcessBackend(vector_transport="pickle")
-
-
 #: Backend registry, keyed by wire/CLI name.
 EXECUTION_BACKENDS = {
     InlineBackend.name: InlineBackend,
     ProcessBackend.name: ProcessBackend,
-    "process-pickle": _pickle_process_backend,
 }
 
 #: The backend used when none is requested.
@@ -496,16 +445,3 @@ def get_execution_backend(
             f"{sorted(EXECUTION_BACKENDS)}"
         ) from None
     return factory()
-
-
-def __getattr__(name: str):
-    # ``ShardedSecAggRound`` moved to :mod:`repro.simulation.hierarchy`
-    # when orchestration became tree-shaped; resolve it lazily so the
-    # historical ``from repro.simulation.sharding import
-    # ShardedSecAggRound`` keeps working without a circular import at
-    # module load.
-    if name == "ShardedSecAggRound":
-        from repro.simulation.hierarchy import ShardedSecAggRound
-
-        return ShardedSecAggRound
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

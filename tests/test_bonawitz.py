@@ -27,8 +27,9 @@ from repro.secagg.bonawitz import (
 )
 from repro.secagg.keys import TOY_GROUP
 from repro.secagg.shamir import LimbShares, Share
-from repro.secagg.statemachine import ClientSession, ServerSession
+from repro.secagg.statemachine import PHASE_TAGS, ClientSession, ServerSession
 from repro.secagg.wire import SealedShares, encode_message
+from repro.telemetry import MetricsRegistry
 
 MODULUS = 2**10
 DIMENSION = 32
@@ -87,6 +88,25 @@ class TestHappyPath:
             inputs, MODULUS, 3, np.random.default_rng(5)
         ).modular_sum
         np.testing.assert_array_equal(a, b)
+
+    def test_metrics_record_every_phase(self):
+        """A registry gets one wall-time series per phase, in the family
+        the mailbox and socket transports share, and the round itself
+        is unchanged."""
+        inputs = make_inputs(np.random.default_rng(1), n=4)
+        metrics = MetricsRegistry()
+        metered = run_bonawitz(
+            inputs, MODULUS, 3, np.random.default_rng(5), metrics=metrics
+        )
+        plain = run_bonawitz(inputs, MODULUS, 3, np.random.default_rng(5))
+        np.testing.assert_array_equal(metered.modular_sum, plain.modular_sum)
+        assert metered.wire.total_bytes == plain.wire.total_bytes
+        phases = {
+            dict(series.labels).get("phase")
+            for series in metrics.snapshot().series
+            if series.name == "secagg_phase_wall_duration_seconds"
+        }
+        assert phases == set(PHASE_TAGS.values())
 
     def test_non_power_of_two_modulus(self, rng):
         inputs = rng.integers(0, 1000, size=(4, 8), dtype=np.int64)

@@ -6,9 +6,9 @@ Two load-bearing invariants anchor this module:
   to the flat modular sum over the same survivor set, for any topology,
   any dropout schedule, and either composer (a hypothesis property).
 * **Privacy** — with the secagg composer, no unmasked intermediate
-  shard sum is reachable from the parent round's inputs: the virtual
-  client exposes wire frames only, and the raw sum's bytes never
-  appear in any datagram the composing server receives.
+  shard sum is reachable from the parent round's inputs: the raw
+  sum's bytes never appear in any datagram the composing server
+  receives.
 
 Plus the straggler-rebalancing contract: a leaf shard driven below its
 Shamir threshold *before* the masking phase commits re-homes its
@@ -27,9 +27,7 @@ from repro.secagg import (
     ClearComposer,
     SecAggComposer,
     TreeTopology,
-    VirtualClient,
     get_composer,
-    run_composition_round,
 )
 from repro.secagg.bonawitz import (
     ROUND_ADVERTISE,
@@ -40,10 +38,8 @@ from repro.secagg.tree import MIN_SHARD_SIZE, partition_members
 from repro.simulation import (
     ClientPlan,
     HierarchicalSecAggRound,
-    ShardedSecAggRound,
     SimulatedClock,
     SimulationTrace,
-    partition_cohort,
     validate_threshold_fraction,
 )
 from repro.simulation.engine import SimulationConfig
@@ -119,18 +115,27 @@ class TestTreeTopology:
             TreeTopology.parse("0")
 
     def test_one_level_matches_legacy_partition(self):
-        """A (k,) tree is bit-identical to the flat sharded partition:
-        same groups, same order, same leaf indices."""
+        """A (k,) tree's leaves are the round-robin partition: same
+        groups, same order, leaf indices 0..k-1."""
         cohort = tuple(range(1, 23))
         root = TreeTopology((4,)).partition(cohort)
         leaves = root.leaves()
-        legacy = partition_cohort(cohort, 4)
-        assert [leaf.members for leaf in leaves] == legacy
+        assert [leaf.members for leaf in leaves] == partition_members(
+            cohort, 4
+        )
         assert [leaf.leaf_index for leaf in leaves] == [0, 1, 2, 3]
 
     def test_partition_members_is_the_shared_rule(self):
-        cohort = tuple(range(1, 23))
-        assert partition_cohort(cohort, 4) == partition_members(cohort, 4)
+        """Every level splits its node's members by the same rule."""
+        cohort = tuple(range(1, 33))
+        root = TreeTopology((2, 4)).partition(cohort)
+        assert [child.members for child in root.children] == (
+            partition_members(cohort, 2)
+        )
+        for region in root.children:
+            assert [leaf.members for leaf in region.children] == (
+                partition_members(region.members, 4)
+            )
 
     def test_multi_level_partition_covers_cohort(self):
         cohort = tuple(range(1, 33))
@@ -205,6 +210,23 @@ class TestComposers:
         with pytest.raises(ConfigurationError):
             SecAggComposer().compose([], MODULUS)
 
+    @pytest.mark.parametrize("composer", [ClearComposer, SecAggComposer])
+    def test_composers_agree_on_unreduced_and_negative_sums(self, composer):
+        """Child sums outside ``[0, m)`` are reduced before composing,
+        so both composers return the same ``Z_m`` sum."""
+        sums = [
+            np.array([MODULUS + 5, -3, 7, MODULUS - 1], dtype=np.int64),
+            np.array([1, 2 * MODULUS, -MODULUS - 1, 4], dtype=np.int64),
+            np.array([0, 1, 2, 3], dtype=np.int64),
+        ]
+        result = composer().compose(
+            sums, MODULUS, rng=np.random.default_rng(3)
+        )
+        assert np.array_equal(
+            result.modular_sum, np.mod(np.sum(sums, axis=0), MODULUS)
+        )
+        assert np.array_equal(result.modular_sum, [6, MODULUS - 2, 8, 6])
+
     def test_secagg_composition_bit_identical_to_clear(self):
         rng = np.random.default_rng(5)
         sums = [
@@ -222,63 +244,61 @@ class TestComposers:
 class TestVirtualClientPrivacy:
     """No unmasked intermediate sum is reachable from the parent round."""
 
-    def test_adapter_api_is_wire_frames_only(self):
-        secret = np.arange(DIMENSION, dtype=np.int64)
-        client = VirtualClient(
-            index=1,
-            subtree_sum=secret,
-            modulus=MODULUS,
-            threshold=2,
-            rng=np.random.default_rng(0),
-        )
-        # No public attribute (or repr) exposes the vector or the
-        # underlying session; the session is name-mangled private.
-        public = [name for name in vars(client) if not name.startswith("_")]
-        assert public == ["index"]
-        for name in ("vector", "subtree_sum", "session"):
-            assert not hasattr(client, name)
-        assert "array" not in repr(client)
-        assert repr(client) == "VirtualClient(index=1)"
-
     def test_parent_server_never_receives_raw_sums(self, monkeypatch):
         """Wire accounting: every datagram the composing server ingests
         is captured, and no child sum's raw bytes appear in any of
         them — the parent's inputs are masked frames only."""
-        import repro.secagg.tree as tree_module
+        import repro.secagg.statemachine as statemachine
 
         received = []
-        real_server = tree_module.ServerSession
+        real_server = statemachine.ServerSession
 
         class RecordingServer(real_server):
             def receive(self, data, sender=None):
                 received.append(bytes(data))
                 return super().receive(data, sender=sender)
 
-        monkeypatch.setattr(tree_module, "ServerSession", RecordingServer)
+        monkeypatch.setattr(statemachine, "ServerSession", RecordingServer)
         rng = np.random.default_rng(11)
         child_sums = [
             rng.integers(0, MODULUS, size=DIMENSION, dtype=np.int64)
             for _ in range(3)
         ]
-        total, wire = run_composition_round(
-            child_sums, MODULUS, np.random.default_rng(13)
+        result = SecAggComposer().compose(
+            child_sums, MODULUS, rng=np.random.default_rng(13)
         )
         assert np.array_equal(
-            total, np.mod(np.sum(child_sums, axis=0), MODULUS)
+            result.modular_sum, np.mod(np.sum(child_sums, axis=0), MODULUS)
         )
-        assert received and wire.total_bytes > 0
+        assert received and result.wire.total_bytes > 0
         blob = b"".join(received)
         for child in child_sums:
             assert child.tobytes() not in blob
             assert np.mod(child, MODULUS).astype(np.int64).tobytes() not in blob
 
     def test_composition_round_needs_two_children(self):
-        with pytest.raises(ConfigurationError):
-            run_composition_round(
-                [np.zeros(DIMENSION, dtype=np.int64)],
+        """Empty and ragged child sums are typed errors; one child is
+        passed through without a round."""
+        composer = SecAggComposer()
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigurationError, match="at least one"):
+            composer.compose([], MODULUS, rng=rng)
+        ragged = [
+            np.zeros(DIMENSION, dtype=np.int64),
+            np.zeros(DIMENSION + 1, dtype=np.int64),
+        ]
+        with pytest.raises(ConfigurationError, match="one 1-d shape"):
+            composer.compose(ragged, MODULUS, rng=rng)
+        with pytest.raises(ConfigurationError, match="one 1-d shape"):
+            composer.compose(
+                [np.zeros((2, DIMENSION), dtype=np.int64)] * 2,
                 MODULUS,
-                np.random.default_rng(0),
+                rng=rng,
             )
+        single = composer.compose(
+            [np.zeros(DIMENSION, dtype=np.int64)], MODULUS, rng=rng
+        )
+        assert single.wire is None
 
     def test_secagg_tree_wire_includes_composition_traffic(self):
         vectors = make_vectors(16, seed=2)
@@ -612,33 +632,32 @@ class TestTelemetryAndConfig:
 
     def test_sharded_round_is_one_level_tree(self):
         vectors = make_vectors(12, seed=3)
-        clock = SimulatedClock()
-        legacy = ShardedSecAggRound(
+        sharded = HierarchicalSecAggRound(
             vectors=vectors,
             modulus=MODULUS,
-            clock=clock,
+            clock=SimulatedClock(),
             rng=np.random.default_rng(17),
-            shards=3,
+            topology="3",
         )
-        assert isinstance(legacy, HierarchicalSecAggRound)
-        assert legacy.topology.branching == (3,)
-        outcome = legacy.execute()
-        tree, _, _ = run_tree(vectors, "3", seed=17)
+        assert sharded.topology.branching == (3,)
+        assert sharded.num_shards == 3
+        outcome = sharded.execute()
+        tree, _, _ = run_tree(vectors, TreeTopology((3,)), seed=17)
         assert np.array_equal(outcome.modular_sum, tree.modular_sum)
         with pytest.raises(ConfigurationError):
-            ShardedSecAggRound(
+            HierarchicalSecAggRound(
                 vectors=vectors,
                 modulus=MODULUS,
                 clock=SimulatedClock(),
                 rng=np.random.default_rng(0),
-                shards=0,
+                topology="0",
             )
 
     def test_simulation_config_tree_knobs(self):
         config = SimulationConfig(tree="4x2", compose="secagg")
         assert config.aggregation_topology().branching == (4, 2)
         assert SimulationConfig().aggregation_topology() is None
-        sharded = SimulationConfig(shards=4)
+        sharded = SimulationConfig(tree="4")
         assert sharded.aggregation_topology().branching == (4,)
         with pytest.raises(ConfigurationError):
             SimulationConfig(compose="homomorphic")

@@ -13,6 +13,7 @@ from repro.secagg.kernels import (
     get_mask_prg,
 )
 from repro.secagg.keys import (
+    _WARM_SCALAR_MAX_PAIRS,
     OAKLEY_GROUP_2_PRIME,
     TOY_GROUP,
     DhGroup,
@@ -396,6 +397,25 @@ class TestAgreementAcceleration:
         alice = generate_keypair(rng, TOY_GROUP)
         with pytest.raises(ConfigurationError, match="peer public"):
             agree_batch(alice.private, [1], TOY_GROUP)
+
+    def test_warm_cache_vectorised_sweep_preserves_agreement_bytes(self, rng):
+        """A roster past the scalar cutoff takes the vectorised sweep."""
+        pairs = {i: generate_keypair(rng, TOY_GROUP) for i in range(1, 21)}
+        warmed = warm_agreement_cache(
+            {i: kp.private for i, kp in pairs.items()},
+            {i: kp.public for i, kp in pairs.items()},
+            TOY_GROUP,
+        )
+        assert warmed == 20 * 19 // 2 > _WARM_SCALAR_MAX_PAIRS
+        for i in pairs:
+            for j in pairs:
+                if i != j:
+                    assert agree(
+                        pairs[i].private,
+                        pairs[j].public,
+                        TOY_GROUP,
+                        own_public=pairs[i].public,
+                    ) == agree(pairs[i].private, pairs[j].public, TOY_GROUP)
 
     def test_warm_cache_preserves_agreement_bytes(self, rng):
         pairs = {i: generate_keypair(rng, TOY_GROUP) for i in range(1, 7)}

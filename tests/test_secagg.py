@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import AggregationError, ConfigurationError
-from repro.secagg.protocol import (
-    PairwiseMaskProtocol,
-    ZeroSumMaskProtocol,
-    secure_sum,
-)
+from repro.secagg.protocol import ZeroSumMaskProtocol, secure_sum
 
 
-@pytest.fixture(params=[PairwiseMaskProtocol, ZeroSumMaskProtocol])
+@pytest.fixture(params=[ZeroSumMaskProtocol])
 def protocol_class(request):
     return request.param
 
@@ -106,16 +102,17 @@ class TestSecureSumWrapper:
         inputs = rng.integers(0, 32, size=(6, 8), dtype=np.int64)
         expected = inputs.sum(axis=0) % 32
         assert np.array_equal(secure_sum(inputs, 32, rng, "zero-sum"), expected)
-        assert np.array_equal(secure_sum(inputs, 32, rng, "pairwise"), expected)
+        assert np.array_equal(secure_sum(inputs, 32, rng, "bonawitz"), expected)
 
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(ConfigurationError):
-            secure_sum(
-                np.zeros((2, 2), dtype=np.int64),
-                32,
-                np.random.default_rng(0),
-                "magic",
-            )
+        for scheme in ("magic", "pairwise"):
+            with pytest.raises(ConfigurationError, match="zero-sum"):
+                secure_sum(
+                    np.zeros((2, 2), dtype=np.int64),
+                    32,
+                    np.random.default_rng(0),
+                    scheme,
+                )
 
 
 class TestBonawitzScheme:

@@ -15,15 +15,15 @@ from hypothesis import strategies as st
 from repro.errors import AggregationError, ConfigurationError
 from repro.secagg import compose_shard_sums
 from repro.secagg.bonawitz import ROUND_ADVERTISE, ROUND_UNMASK
+from repro.secagg.tree import partition_members
 from repro.simulation import (
     ClientPlan,
+    HierarchicalSecAggRound,
     InlineBackend,
     ProcessBackend,
-    ShardedSecAggRound,
     SimulatedClock,
     SimulationTrace,
     get_execution_backend,
-    partition_cohort,
 )
 from repro.simulation.sharding import MIN_SHARD_SIZE, ShardTask, run_shard
 
@@ -50,12 +50,12 @@ def run_sharded(vectors, shards, plans=None, backend="inline", seed=1,
                 threshold_fraction=0.6, phase_timeout=60.0, trace=False):
     clock = SimulatedClock()
     trace_log = SimulationTrace(clock) if trace else None
-    sharded = ShardedSecAggRound(
+    sharded = HierarchicalSecAggRound(
         vectors=vectors,
         modulus=MODULUS,
         clock=clock,
         rng=np.random.default_rng(seed),
-        shards=shards,
+        topology=str(shards),
         threshold_fraction=threshold_fraction,
         plans=plans,
         phase_timeout=phase_timeout,
@@ -69,36 +69,36 @@ def run_sharded(vectors, shards, plans=None, backend="inline", seed=1,
 class TestPartition:
     def test_covers_cohort_exactly(self):
         cohort = tuple(range(1, 23))
-        shards = partition_cohort(cohort, 4)
+        shards = partition_members(cohort, 4)
         flattened = sorted(u for shard in shards for u in shard)
         assert flattened == sorted(cohort)
 
     def test_balanced_within_one(self):
-        sizes = {len(s) for s in partition_cohort(range(1, 23), 4)}
+        sizes = {len(s) for s in partition_members(range(1, 23), 4)}
         assert max(sizes) - min(sizes) <= 1
 
     def test_deterministic_and_order_insensitive(self):
         cohort = [9, 3, 14, 1, 7, 2]
-        assert partition_cohort(cohort, 2) == partition_cohort(
+        assert partition_members(cohort, 2) == partition_members(
             tuple(reversed(cohort)), 2
         )
 
     def test_caps_shards_at_min_size(self):
         # 5 members cannot form 4 shards of >= 2: capped to 2 shards.
-        shards = partition_cohort(range(1, 6), 4)
+        shards = partition_members(range(1, 6), 4)
         assert len(shards) == 2
         assert all(len(s) >= MIN_SHARD_SIZE for s in shards)
 
     def test_single_shard_identity(self):
-        assert partition_cohort((1, 2, 3), 1) == [(1, 2, 3)]
+        assert partition_members((1, 2, 3), 1) == [(1, 2, 3)]
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ConfigurationError):
-            partition_cohort((1, 2, 3), 0)
+            partition_members((1, 2, 3), 0)
         with pytest.raises(ConfigurationError):
-            partition_cohort((), 2)
+            partition_members((), 2)
         with pytest.raises(ConfigurationError):
-            partition_cohort((1, 1, 2), 2)
+            partition_members((1, 1, 2), 2)
 
 
 class TestComposeShardSums:
@@ -459,22 +459,22 @@ class TestDeterminism:
 class TestValidation:
     def test_empty_cohort_rejected(self):
         with pytest.raises(ConfigurationError):
-            ShardedSecAggRound(
+            HierarchicalSecAggRound(
                 vectors={},
                 modulus=MODULUS,
                 clock=SimulatedClock(),
                 rng=np.random.default_rng(0),
-                shards=2,
+                topology="2",
             )
 
     def test_bad_threshold_fraction_rejected(self):
         with pytest.raises(ConfigurationError):
-            ShardedSecAggRound(
+            HierarchicalSecAggRound(
                 vectors=make_vectors(6),
                 modulus=MODULUS,
                 clock=SimulatedClock(),
                 rng=np.random.default_rng(0),
-                shards=2,
+                topology="2",
                 threshold_fraction=0.0,
             )
 

@@ -20,8 +20,8 @@ from repro.simulation import (
     AsyncSecAggRound,
     BernoulliDropout,
     ClientPlan,
+    HierarchicalSecAggRound,
     ProcessBackend,
-    ShardedSecAggRound,
     SimulatedClock,
     SimulationConfig,
     SimulationEngine,
@@ -196,12 +196,12 @@ class TestRoundMetrics:
 def run_metered_sharded(vectors, shards, backend="inline", seed=1):
     clock = SimulatedClock()
     registry = MetricsRegistry()
-    sharded = ShardedSecAggRound(
+    sharded = HierarchicalSecAggRound(
         vectors=vectors,
         modulus=MODULUS,
         clock=clock,
         rng=np.random.default_rng(seed),
-        shards=shards,
+        topology=str(shards),
         threshold_fraction=0.6,
         backend=backend,
         metrics=registry,

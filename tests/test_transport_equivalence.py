@@ -2,8 +2,9 @@
 
 The sans-I/O refactor's acceptance gate: the synchronous in-memory
 transport (``run_bonawitz``), the simulated-clock mailbox transport
-(``AsyncSecAggRound``) and the sharded process backends (shared-memory
-and pickle vector transports) all drive the same
+(``AsyncSecAggRound``) and the sharded process backend (over its
+shared-memory vector transport and its pickle fallback) all drive the
+same
 :mod:`repro.secagg.statemachine` sessions — so on a fixed seed they must
 produce **bit-identical** aggregate sums, pinned here against digests
 captured from the pre-refactor implementation and against the
@@ -23,10 +24,9 @@ from repro.secagg.bonawitz import (
 from repro.simulation import (
     AsyncSecAggRound,
     ClientPlan,
+    HierarchicalSecAggRound,
     ProcessBackend,
-    ShardedSecAggRound,
     SimulatedClock,
-    get_execution_backend,
     shared_memory_available,
 )
 
@@ -91,12 +91,12 @@ def run_mailbox(inputs):
 def run_sharded(inputs, backend):
     vectors = {u + 1: inputs[u] for u in range(NUM_CLIENTS)}
     clock = SimulatedClock()
-    sharded = ShardedSecAggRound(
+    sharded = HierarchicalSecAggRound(
         vectors=vectors,
         modulus=MODULUS,
         clock=clock,
         rng=np.random.default_rng(42),
-        shards=3,
+        topology="3",
         backend=backend,
     )
     return sharded.execute()
@@ -141,20 +141,25 @@ class TestCrossTransportIdentity:
         not shared_memory_available(),
         reason="platform lacks POSIX shared memory",
     )
-    def test_sharded_backends_agree_bit_for_bit(self, inputs):
+    def test_sharded_backends_agree_bit_for_bit(self, inputs, monkeypatch):
+        import repro.simulation.sharding as sharding
+
         inline = run_sharded(inputs, "inline")
         shm_backend = ProcessBackend(max_workers=2)
+        assert shm_backend.effective_transport == "shm"
         try:
             shm = run_sharded(inputs, shm_backend)
         finally:
             shm_backend.close()
-        pickle_backend = get_execution_backend("process-pickle")
+        # Without POSIX shared memory the backend falls back to shipping
+        # vectors inside the task pickle.
+        monkeypatch.setattr(sharding, "shared_memory_available", lambda: False)
+        pickle_backend = ProcessBackend(max_workers=2)
         try:
             pickled = run_sharded(inputs, pickle_backend)
         finally:
             pickle_backend.close()
-        assert shm_backend.name == "process"
-        assert pickle_backend.name == "process-pickle"
+        assert pickle_backend.effective_transport == "pickle"
         for outcome in (shm, pickled):
             assert outcome.included == inline.included
             assert outcome.completed_at == inline.completed_at
