@@ -3,8 +3,10 @@
 Each benchmark regenerates one panel (or series) of a paper figure and
 prints the measured rows through the ``emit`` fixture, which bypasses
 pytest's output capture so the series tables appear in
-``pytest benchmarks/ --benchmark-only`` output.  Results are also
-appended to ``benchmarks/results/*.txt`` for EXPERIMENTS.md.
+``pytest benchmarks/ --benchmark-only`` output.  With
+``REPRO_BENCH_RESULTS=1`` the rows are also appended to
+``benchmarks/results/*.txt``; without it a run leaves the tracked
+results files untouched.
 
 Scaled-down defaults (DESIGN.md §4): the accountant is exact at any
 scale, so mechanism orderings and bitwidth crossovers match the paper;
@@ -23,6 +25,9 @@ import numpy as np
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+#: Opt-in persistence of emitted rows to :data:`RESULTS_DIR`.
+PERSIST_RESULTS = os.environ.get("REPRO_BENCH_RESULTS", "0") == "1"
 
 #: Paper-scale toggle for the heavy FL benches.
 FULL_SCALE = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
@@ -66,7 +71,8 @@ def _persist(line: str, filename: str) -> None:
 
 @pytest.fixture
 def emit(capsys):
-    """Print a line through pytest's capture (and persist it to a file).
+    """Print a line through pytest's capture (and, opted in through
+    :data:`PERSIST_RESULTS`, persist it to a results file).
 
     Persisted files keep a rolling window of the most recent
     :data:`RESULTS_MAX_LINES` lines, and appends are idempotent: a line
@@ -82,7 +88,7 @@ def emit(capsys):
     def _emit(line: str, filename: str | None = None) -> None:
         with capsys.disabled():
             print(line)
-        if filename is not None:
+        if PERSIST_RESULTS and filename is not None:
             if filename not in _env_stamped:
                 _env_stamped.add(filename)
                 _persist(ENV_HEADER, filename)

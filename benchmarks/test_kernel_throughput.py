@@ -1,10 +1,11 @@
 """Kernel micro-benchmarks: mask PRG and Shamir throughput.
 
-Measures the vectorised SecAgg kernels against the retained scalar
-reference paths — masks/sec for the PRG backends (batched SHA-256
-counter mode and numpy Philox vs the pre-kernel scalar loop) and
-shares/sec for batched Shamir split/reconstruct vs the per-coefficient
-Python loops.  Results land in ``benchmarks/results/kernels.txt``.
+Measures the vectorised SecAgg kernels against scalar baselines —
+masks/sec for the PRG backends (batched SHA-256 counter mode and numpy
+Philox vs the pre-kernel scalar loop), shares/sec for batched Shamir
+split/reconstruct vs the per-coefficient Python loops, and µs per
+Lagrange weight set.  The scalar baselines are local copies of the
+pre-kernel code.  Results land in ``benchmarks/results/kernels.txt``.
 
 The smoke assertions run in tier 1: they only require the vectorised
 kernels not to be *slower* than the scalar baselines (with generous
@@ -14,13 +15,23 @@ reroutes the hot paths through scalar code.
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import numpy as np
 
 from repro.secagg.field import DEFAULT_FIELD
-from repro.secagg.kernels import PhiloxPrg, Sha256CounterPrg
-from repro.secagg.shamir import LimbShares
+from repro.secagg.kernels import (
+    PhiloxPrg,
+    Sha256CounterPrg,
+    lagrange_weights_at_zero,
+)
+from repro.secagg.shamir import (
+    LimbShares,
+    reconstruct_secrets,
+    split_secret_scalar,
+    split_secrets,
+)
 from repro.secagg.wire import (
     PROTOCOL_V1,
     MaskedInput,
@@ -33,14 +44,6 @@ from repro.secagg.wire import (
     intern_header,
     route_sealed_stack,
 )
-from repro.secagg.prg import expand_mask_reference
-from repro.secagg.shamir import (
-    Share,
-    reconstruct_secret_scalar,
-    reconstruct_secrets,
-    split_secret_scalar,
-    split_secrets,
-)
 
 RESULTS_FILE = "kernels.txt"
 MASK_DIMENSION = 512
@@ -49,6 +52,40 @@ MODULUS = 2**16
 SHAMIR_THRESHOLD = 48
 SHAMIR_SHARES = 96
 SHAMIR_BATCH = 6
+
+
+LAGRANGE_THRESHOLD = 10
+
+
+def _expand_mask_scalar(seed: bytes, dimension: int, modulus: int):
+    """Pre-kernel expansion for a power-of-two modulus: one SHA-256
+    counter block per loop step."""
+    blocks = (dimension + 3) // 4
+    digest = b"".join(
+        hashlib.sha256(seed + i.to_bytes(8, "little")).digest()
+        for i in range(blocks)
+    )
+    words = np.frombuffer(digest, dtype="<u8")[:dimension]
+    return (words & np.uint64(modulus - 1)).astype(np.int64)
+
+
+def _lagrange_weights_scalar(xs, field) -> list[int]:
+    """Pre-kernel Lagrange weights: per-pair loops, one inverse each."""
+    weights = []
+    for i, x_i in enumerate(xs):
+        numerator = 1
+        denominator = 1
+        for j, x_j in enumerate(xs):
+            if i != j:
+                numerator = field.mul(numerator, field.neg(x_j))
+                denominator = field.mul(denominator, field.sub(x_i, x_j))
+        weights.append(field.mul(numerator, field.inv(denominator)))
+    return weights
+
+
+def _reconstruct_scalar(xs, ys, field) -> int:
+    weights = _lagrange_weights_scalar(xs, field)
+    return sum(w * y for w, y in zip(weights, ys)) % field.prime
 
 
 def _best_of(repeats: int, func) -> float:
@@ -67,7 +104,7 @@ def test_mask_prg_throughput(emit):
 
     def scalar():
         for seed in seeds:
-            expand_mask_reference(seed, MASK_DIMENSION, MODULUS)
+            _expand_mask_scalar(seed, MASK_DIMENSION, MODULUS)
 
     philox_prg = PhiloxPrg()
     scalar_time = _best_of(5, scalar)
@@ -154,13 +191,10 @@ def test_shamir_throughput(emit, bench_rng):
         [int(share_matrix[i, j]) for j in range(SHAMIR_THRESHOLD)]
         for i in range(SHAMIR_BATCH)
     ]
-    share_objects = [
-        [Share(x=x, y=y) for x, y in zip(xs, row)] for row in rows
-    ]
 
     def scalar_reconstruct():
-        for shares in share_objects:
-            reconstruct_secret_scalar(shares, field)
+        for row in rows:
+            _reconstruct_scalar(xs, row, field)
 
     scalar_rec_time = _best_of(5, scalar_reconstruct)
     batched_rec_time = _best_of(
@@ -182,6 +216,37 @@ def test_shamir_throughput(emit, bench_rng):
         RESULTS_FILE,
     )
     assert batched_rec_time <= scalar_rec_time * 1.5
+
+
+def test_lagrange_weights_latency(emit):
+    """µs per weight set at t=10: exact-integer kernel vs scalar loops.
+
+    Emission only: the one assertion is exactness, so the row tracks
+    the cost of Shamir recovery's fixed per-point-set step without a
+    wall-clock gate.
+    """
+    field = DEFAULT_FIELD
+    xs = list(range(3, 3 + LAGRANGE_THRESHOLD))
+    assert lagrange_weights_at_zero(xs, field.prime) == (
+        _lagrange_weights_scalar(xs, field)
+    )
+    calls = 200
+    paths = {
+        "scalar": lambda: _lagrange_weights_scalar(xs, field),
+        "kernel": lambda: lagrange_weights_at_zero(xs, field.prime),
+    }
+    for name, weights in paths.items():
+
+        def repeated(weights=weights):
+            for _ in range(calls):
+                weights()
+
+        elapsed = _best_of(5, repeated)
+        emit(
+            f"kernel_lagrange path={name:6s} t={LAGRANGE_THRESHOLD} "
+            f"us_per_call={elapsed / calls * 1e6:8.1f}",
+            RESULTS_FILE,
+        )
 
 
 WIRE_ROSTER = 96

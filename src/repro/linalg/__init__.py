@@ -12,7 +12,6 @@ from repro.linalg.modular import (
     decode_centered,
     encode_mod,
     horner_mod,
-    inv_mod,
     mul_mod,
     pow_mod,
     sum_mod,
@@ -26,7 +25,6 @@ __all__ = [
     "encode_mod",
     "fast_walsh_hadamard",
     "horner_mod",
-    "inv_mod",
     "is_power_of_two",
     "mul_mod",
     "naive_walsh_hadamard_matrix",

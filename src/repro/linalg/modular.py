@@ -15,8 +15,9 @@ interval; otherwise it wraps around — the overflow failure mode that
 dominates the baselines' error at small bitwidths (Section 6).
 
 *Field kernels.* The vectorised SecAgg kernels
-(:mod:`repro.secagg.kernels`) run Shamir share generation and Lagrange
-reconstruction as numpy array programs over the 61-bit prime field.
+(:mod:`repro.secagg.kernels`) run Shamir share generation and signed
+mask summation, and the key-agreement warm-up runs its batched
+exponentiations, as numpy array programs over the 61-bit prime field.
 Products of two 61-bit residues need 122 bits, which uint64 cannot hold,
 so :func:`mul_mod` splits each operand into 32-bit limbs and reduces the
 partial products with shift-and-mod steps that each stay below ``2^64``
@@ -183,25 +184,6 @@ def pow_mod_elementwise(
         if np.any(exponents):
             bases = mul_mod(bases, bases, modulus)
     return result
-
-
-def inv_mod(values: np.ndarray | int, prime: int) -> np.ndarray:
-    """Vectorised multiplicative inverse over ``GF(p)`` (Fermat).
-
-    Args:
-        values: Nonzero residues in ``[1, p)``.
-        prime: A prime modulus, at most :data:`LIMB_SPLIT_MAX_MODULUS`.
-
-    Returns:
-        Element-wise ``values^{-1} mod p``.
-
-    Raises:
-        ZeroDivisionError: If any lane is zero modulo ``p``.
-    """
-    values = np.asarray(values, dtype=np.uint64) % np.uint64(prime)
-    if np.any(values == 0):
-        raise ZeroDivisionError("zero has no multiplicative inverse")
-    return pow_mod(values, prime - 2, prime)
 
 
 def horner_mod(

@@ -19,34 +19,33 @@ The Bonawitz protocol's two hot paths are embarrassingly batchable:
   and the server reconstructs one secret per survivor from shares at the
   same ``t`` points.  :func:`batched_split` evaluates all polynomials at
   all points with one vectorised Horner recurrence
-  (:func:`repro.linalg.modular.horner_mod`), and
+  (:func:`repro.linalg.modular.horner_mod`) over uint64 arrays, using
+  128-bit-safe limb-split modular multiplication.
   :func:`batched_reconstruct` computes the Lagrange weights once per
-  point-set and applies them to every secret's share row — turning the
-  per-share, per-coefficient Python loops into a handful of uint64 array
-  operations using 128-bit-safe limb-split modular multiplication.
+  point set and applies them to every secret's share row.  Point sets
+  are threshold-sized (``t`` of about ten), too small for array
+  programs to pay off, so the weights and their application run in
+  exact Python integers with a single batched modular inversion — for
+  any prime, not only fields that fit the limb kernels.
 
 Both layers are exact: no floats, no wraparound, and the golden-vector
 and property-test suites (``tests/test_keys_prg.py``,
-``tests/test_shamir.py``) pin them against the retained scalar
-reference paths.
+``tests/test_shamir.py``, ``tests/test_secagg_kernels.py``) pin them
+against scalar test oracles.
 """
 
 from __future__ import annotations
 
 import abc
 import hashlib
+import math
+import operator
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.errors import AggregationError, ConfigurationError
-from repro.linalg.modular import (
-    LIMB_SPLIT_MAX_MODULUS,
-    horner_mod,
-    inv_mod,
-    mul_mod,
-    sum_mod,
-)
+from repro.linalg.modular import LIMB_SPLIT_MAX_MODULUS, horner_mod, sum_mod
 
 _BLOCK_WORDS = 4  # SHA-256 digest = 32 bytes = 4 uint64 words.
 _DIGEST_BYTES = 32
@@ -436,7 +435,7 @@ def keystream(key: bytes, length: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batched Shamir over GF(p), p <= 2^61.
+# Batched Shamir: split over GF(p <= 2^61), reconstruction over any GF(p).
 # ---------------------------------------------------------------------------
 
 
@@ -508,82 +507,94 @@ def batched_split(
 
 def lagrange_weights_at_zero(
     xs: Sequence[int] | np.ndarray, prime: int
-) -> np.ndarray:
-    """Vectorised Lagrange weights ``l_i(0)`` for distinct points ``xs``.
+) -> list[int]:
+    """Lagrange weights ``l_i(0)`` for distinct points ``xs``, exactly.
 
-    ``l_i(0) = Π_{j≠i} x_j / (x_j - x_i) mod p``.  The pairwise
-    difference matrix, row products, and Fermat inversions are all
-    uint64 array programs; the weights are computed **once** per point
-    set and reused for every secret sharing those points — the key
-    saving in batched reconstruction.
+    ``l_i(0) = Π_{j≠i} x_j / (x_j - x_i) = (Π_j x_j) / d_i`` with
+    ``d_i = x_i · Π_{j≠i} (x_j - x_i) mod p``.  Point sets are small
+    (``t`` is the Shamir threshold), so plain Python integers beat any
+    array program here; the ``t`` inversions collapse into one
+    ``pow(·, -1, p)`` by Montgomery's batch-inversion trick.  The
+    weights are computed **once** per point set and reused for every
+    secret sharing those points — the key saving in batched
+    reconstruction.
 
     Args:
         xs: ``(t,)`` distinct nonzero points in ``(0, prime)``.
-        prime: Field modulus, at most ``2^61``.
+        prime: Field modulus (any prime; no limb-width limit).
 
     Returns:
-        ``(t,)`` uint64 weights such that ``f(0) = Σ_i w_i f(x_i)``.
+        ``t`` weights in ``[0, prime)`` such that
+        ``f(0) = Σ_i w_i f(x_i) mod p``.
 
     Raises:
         AggregationError: On duplicate, zero, or out-of-field points.
     """
-    xs = np.asarray(xs, dtype=np.uint64)
-    if xs.size == 0:
+    xs = [int(x) for x in xs]
+    if not xs:
         raise AggregationError("cannot reconstruct from zero shares")
-    if len(np.unique(xs)) != len(xs):
-        raise AggregationError(
-            f"duplicate share points: {sorted(int(x) for x in xs)}"
-        )
-    if int(xs.min()) <= 0 or int(xs.max()) >= prime:
+    if len(set(xs)) != len(xs):
+        raise AggregationError(f"duplicate share points: {sorted(xs)}")
+    if min(xs) <= 0 or max(xs) >= prime:
         raise AggregationError(
             f"share points must lie in (0, {prime}), got range "
-            f"[{xs.min()}, {xs.max()}]"
+            f"[{min(xs)}, {max(xs)}]"
         )
-    p = np.uint64(prime)
-    # differences[i, j] = (x_j - x_i) mod p; the diagonal is patched to 1
-    # so row products skip the j == i term.
-    differences = (xs[np.newaxis, :] + (p - xs[:, np.newaxis])) % p
-    np.fill_diagonal(differences, 1)
-    denominators = np.ones(len(xs), dtype=np.uint64)
-    for column in range(len(xs)):
-        denominators = mul_mod(denominators, differences[:, column], prime)
-    # Numerators: Π_{j≠i} x_j = (Π_j x_j) · x_i^{-1}.
-    product_all = np.ones((), dtype=np.uint64)
-    for column in range(len(xs)):
-        product_all = mul_mod(product_all, xs[column], prime)
-    numerators = mul_mod(product_all, inv_mod(xs, prime), prime)
-    return mul_mod(numerators, inv_mod(denominators, prime), prime)
+    denominators = []
+    for x_i in xs:
+        d_i = x_i
+        for x_j in xs:
+            if x_j != x_i:
+                d_i = d_i * (x_j - x_i) % prime
+        denominators.append(d_i)
+    # prefixes[i] = d_0 ⋯ d_{i-1}.  Walking i downwards, ``scaled``
+    # holds (Π_j x_j) / (d_0 ⋯ d_i), so w_i = scaled · prefixes[i], and
+    # multiplying by d_i steps to i - 1: one inversion in total.
+    prefixes = []
+    running = 1
+    for d_i in denominators:
+        prefixes.append(running)
+        running = running * d_i % prime
+    scaled = math.prod(xs) * pow(running, -1, prime) % prime
+    weights = [0] * len(xs)
+    for i in range(len(xs) - 1, -1, -1):
+        weights[i] = scaled * prefixes[i] % prime
+        scaled = scaled * denominators[i] % prime
+    return weights
 
 
 def batched_reconstruct(
     xs: Sequence[int] | np.ndarray,
     ys: Sequence[Sequence[int]] | np.ndarray,
     prime: int,
-) -> np.ndarray:
+) -> list[int]:
     """Reconstruct many secrets whose shares sit at the same points.
 
     Args:
         xs: ``(t,)`` distinct share points, shared by all secrets.
         ys: ``(k, t)`` share values; row ``i`` holds secret ``i``'s
             values at ``xs``.
-        prime: Field modulus, at most ``2^61``.
+        prime: Field modulus.
 
     Returns:
-        ``(k,)`` uint64 secrets ``f_i(0)``.
+        The ``k`` secrets ``f_i(0)`` as Python integers.
 
     Raises:
         AggregationError: On malformed points or out-of-field values.
     """
-    ys = np.atleast_2d(np.asarray(ys, dtype=np.uint64))
-    xs = np.asarray(xs, dtype=np.uint64)
-    if ys.shape[1] != xs.shape[0]:
-        raise AggregationError(
-            f"{ys.shape[1]} share values per secret but {xs.shape[0]} points"
-        )
-    if ys.size and int(ys.max()) >= prime:
-        raise AggregationError(
-            f"share value {int(ys.max())} outside [0, {prime})"
-        )
+    rows = [[int(y) for y in row] for row in ys]
+    width = len(xs)
+    for row in rows:
+        if len(row) != width:
+            raise AggregationError(
+                f"{len(row)} share values per secret but {width} points"
+            )
+        for y in row:
+            if not 0 <= y < prime:
+                raise AggregationError(
+                    f"share value {y} outside [0, {prime})"
+                )
     weights = lagrange_weights_at_zero(xs, prime)
-    terms = mul_mod(ys, weights[np.newaxis, :], prime)
-    return sum_mod(terms, prime, axis=1)
+    return [
+        sum(map(operator.mul, weights, row)) % prime for row in rows
+    ]

@@ -16,72 +16,18 @@ keeps the output exactly uniform rather than module-biased.
 
 The actual computation lives in the vectorised kernel layer
 (:mod:`repro.secagg.kernels`): this module keeps the stable functional
-API, routes it through a selectable :class:`~repro.secagg.kernels.MaskPrg`
-backend (SHA-256 counter mode by default, numpy Philox for speed), and
-retains the original scalar implementation as
-:func:`expand_mask_reference` — the baseline the golden-vector tests
-and kernel micro-benchmarks compare against.
+API and routes it through a selectable :class:`~repro.secagg.kernels.MaskPrg`
+backend (SHA-256 counter mode by default, numpy Philox for speed).  The
+golden-vector tests pin the default backend against frozen digests and a
+test-local copy of the original scalar expansion.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.secagg.kernels import MaskPrg, get_mask_prg
-
-_BLOCK_WORDS = 4  # SHA-256 digest = 32 bytes = 4 uint64 words.
-
-
-def _counter_words_reference(
-    seed: bytes, num_words: int, offset: int = 0
-) -> np.ndarray:
-    """Generate ``num_words`` uint64 words from SHA-256(seed || counter)."""
-    blocks = (num_words + _BLOCK_WORDS - 1) // _BLOCK_WORDS
-    digest = b"".join(
-        hashlib.sha256(seed + (offset + i).to_bytes(8, "little")).digest()
-        for i in range(blocks)
-    )
-    return np.frombuffer(digest, dtype="<u8")[:num_words]
-
-
-def expand_mask_reference(
-    seed: bytes, dimension: int, modulus: int
-) -> np.ndarray:
-    """The retained scalar reference expansion (pre-kernel seed code).
-
-    Kept verbatim so the vectorised :class:`Sha256CounterPrg` kernel can
-    be asserted bit-identical forever, and as the scalar baseline for
-    ``benchmarks/test_kernel_throughput.py``.  Production callers use
-    :func:`expand_mask`.
-    """
-    if dimension < 0:
-        raise ConfigurationError(f"dimension must be >= 0, got {dimension}")
-    if modulus < 2:
-        raise ConfigurationError(f"modulus must be >= 2, got {modulus}")
-    if modulus & (modulus - 1) == 0:
-        # Power of two: masking low bits of a uniform word is uniform.
-        words = _counter_words_reference(seed, dimension)
-        return (words & np.uint64(modulus - 1)).astype(np.int64)
-    # General modulus: rejection-sample below the largest multiple of m
-    # representable in 64 bits, so the residue is exactly uniform.
-    limit = (1 << 64) - ((1 << 64) % modulus)
-    out = np.empty(dimension, dtype=np.int64)
-    filled = 0
-    offset = 0
-    while filled < dimension:
-        want = dimension - filled
-        words = _counter_words_reference(seed, 2 * want + _BLOCK_WORDS, offset)
-        offset += (len(words) + _BLOCK_WORDS - 1) // _BLOCK_WORDS
-        accepted = words[words < np.uint64(limit)]
-        take = min(want, len(accepted))
-        out[filled : filled + take] = (
-            accepted[:take] % np.uint64(modulus)
-        ).astype(np.int64)
-        filled += take
-    return out
 
 
 def expand_mask(

@@ -12,17 +12,15 @@ uniformly; participant ``i`` receives the share ``(i, f(i))``.  Any ``t``
 shares determine ``f`` (and hence the secret) by Lagrange interpolation;
 any ``t - 1`` shares are jointly uniform and reveal nothing.
 
-Two code paths produce identical reconstructions:
-
-* the **vectorised kernels** (:mod:`repro.secagg.kernels`) — batched
-  Horner evaluation and shared-weight Lagrange interpolation over
-  uint64 arrays, used automatically whenever the field modulus fits the
-  limb-split arithmetic (every default configuration); and
-* the **scalar reference path** (:func:`split_secret_scalar`,
-  :func:`reconstruct_secret_scalar`) — the original per-share,
-  per-coefficient loops over Python integers, retained both for fields
-  larger than ``2^61`` and as the equivalence baseline the property
-  tests (``tests/test_shamir.py``) drive against the kernels.
+Splitting runs through the vectorised kernels (:mod:`repro.secagg.kernels`,
+batched Horner evaluation over uint64 arrays) whenever the field fits
+the limb-split arithmetic — every default configuration — and through
+the per-coefficient loop :func:`split_secret_scalar` for fields larger
+than ``2^61``.  Reconstruction has one path for every field: Lagrange
+weights computed once per point set in exact integers, then applied to
+each secret's share row.  The property tests (``tests/test_shamir.py``)
+check both against a scalar field-arithmetic oracle kept under
+``tests/``.
 """
 
 from __future__ import annotations
@@ -316,33 +314,6 @@ def reconstruct_large_secret(
     return secret
 
 
-def reconstruct_secret_scalar(
-    shares: Iterable[Share], field: PrimeField = DEFAULT_FIELD
-) -> int:
-    """Scalar reference reconstruction: per-pair Lagrange loops.
-
-    The pre-kernel seed implementation, retained verbatim; the property
-    suite asserts it agrees with :func:`reconstruct_secret` share for
-    share.
-    """
-    shares = list(shares)
-    _check_shares(shares, field)
-    secret = 0
-    for i, share_i in enumerate(shares):
-        numerator = 1
-        denominator = 1
-        for j, share_j in enumerate(shares):
-            if i == j:
-                continue
-            numerator = field.mul(numerator, field.neg(share_j.x))
-            denominator = field.mul(
-                denominator, field.sub(share_i.x, share_j.x)
-            )
-        weight = field.mul(numerator, field.inv(denominator))
-        secret = field.add(secret, field.mul(share_i.y, weight))
-    return secret
-
-
 def reconstruct_secret(
     shares: Iterable[Share], field: PrimeField = DEFAULT_FIELD
 ) -> int:
@@ -364,15 +335,12 @@ def reconstruct_secret(
         AggregationError: On duplicate or out-of-field shares.
     """
     shares = list(shares)
-    if not _uses_kernels(field):
-        return reconstruct_secret_scalar(shares, field)
     _check_shares(shares, field)
-    result = kernels.batched_reconstruct(
-        np.asarray([share.x for share in shares], dtype=np.uint64),
-        np.asarray([[share.y for share in shares]], dtype=np.uint64),
+    return kernels.batched_reconstruct(
+        [share.x for share in shares],
+        [[share.y for share in shares]],
         field.prime,
-    )
-    return int(result[0])
+    )[0]
 
 
 def reconstruct_secrets(
@@ -408,19 +376,7 @@ def reconstruct_secrets(
         )
     if not rows:
         return []
-    if not _uses_kernels(field):
-        return [
-            reconstruct_secret_scalar(
-                [Share(x=x, y=y) for x, y in zip(xs, row)], field
-            )
-            for row in rows
-        ]
     _check_shares(
         [Share(x=xs[j], y=rows[0][j]) for j in range(len(xs))], field
     )
-    result = kernels.batched_reconstruct(
-        np.asarray(xs, dtype=np.uint64),
-        np.asarray(rows, dtype=np.uint64),
-        field.prime,
-    )
-    return [int(value) for value in result]
+    return kernels.batched_reconstruct(xs, rows, field.prime)

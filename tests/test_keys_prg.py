@@ -1,5 +1,7 @@
 """Tests for DH key agreement and the deterministic mask PRG."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,50 @@ from repro.secagg.keys import (
     generate_keypair,
     warm_agreement_cache,
 )
-from repro.secagg.prg import expand_mask, expand_mask_reference, pairwise_delta
+from repro.secagg.prg import expand_mask, pairwise_delta
+
+_BLOCK_WORDS = 4  # SHA-256 digest = 32 bytes = 4 uint64 words.
+
+
+def _counter_words_reference(
+    seed: bytes, num_words: int, offset: int = 0
+) -> np.ndarray:
+    """Generate ``num_words`` uint64 words from SHA-256(seed || counter)."""
+    blocks = (num_words + _BLOCK_WORDS - 1) // _BLOCK_WORDS
+    digest = b"".join(
+        hashlib.sha256(seed + (offset + i).to_bytes(8, "little")).digest()
+        for i in range(blocks)
+    )
+    return np.frombuffer(digest, dtype="<u8")[:num_words]
+
+
+def expand_mask_reference(
+    seed: bytes, dimension: int, modulus: int
+) -> np.ndarray:
+    """The original scalar expansion, kept as the golden oracle.
+
+    One SHA-256 counter block per loop step, power-of-two moduli masked,
+    general moduli rejection-sampled; the vectorised
+    :class:`Sha256CounterPrg` must stay bit-identical to it.
+    """
+    if modulus & (modulus - 1) == 0:
+        words = _counter_words_reference(seed, dimension)
+        return (words & np.uint64(modulus - 1)).astype(np.int64)
+    limit = (1 << 64) - ((1 << 64) % modulus)
+    out = np.empty(dimension, dtype=np.int64)
+    filled = 0
+    offset = 0
+    while filled < dimension:
+        want = dimension - filled
+        words = _counter_words_reference(seed, 2 * want + _BLOCK_WORDS, offset)
+        offset += (len(words) + _BLOCK_WORDS - 1) // _BLOCK_WORDS
+        accepted = words[words < np.uint64(limit)]
+        take = min(want, len(accepted))
+        out[filled : filled + take] = (
+            accepted[:take] % np.uint64(modulus)
+        ).astype(np.int64)
+        filled += take
+    return out
 
 
 @pytest.fixture
@@ -245,7 +290,7 @@ class TestGoldenVectors:
     def test_reference_implementation_matches_golden(
         self, seed, dimension, modulus
     ):
-        """The retained scalar path and the goldens agree forever."""
+        """The scalar oracle and the goldens agree forever."""
         expected = np.frombuffer(
             bytes.fromhex(self.GOLDEN[(seed, dimension, modulus)]),
             dtype="<u8",
@@ -268,7 +313,7 @@ class TestGoldenVectors:
 
 
 class TestKernelReferenceEquivalence:
-    """Vectorised backend == retained scalar reference, everywhere."""
+    """Vectorised backend == scalar oracle, everywhere."""
 
     @given(
         modulus=st.integers(min_value=2, max_value=2**20),

@@ -10,7 +10,6 @@ from repro.linalg.modular import (
     decode_centered,
     encode_mod,
     horner_mod,
-    inv_mod,
     mul_mod,
     pow_mod,
     pow_mod_elementwise,
@@ -148,15 +147,6 @@ class TestFieldKernels:
         assert got.tolist() == [
             pow(int(b), int(e), p) for b, e in zip(bases, exponents)
         ]
-
-    @pytest.mark.parametrize("prime", [MERSENNE_61, 101])
-    def test_inv_mod_inverts(self, prime):
-        values = np.arange(1, min(prime, 60), dtype=np.uint64)
-        assert np.all(mul_mod(inv_mod(values, prime), values, prime) == 1)
-
-    def test_inv_mod_zero_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            inv_mod(np.array([0], dtype=np.uint64), 101)
 
     @pytest.mark.parametrize("prime", [MERSENNE_61, (1 << 31) - 1, 101])
     @pytest.mark.parametrize("num_coeffs", [1, 2, 3, 8, 40])

@@ -13,7 +13,7 @@ from repro.secagg.bonawitz import (
     _encode_payload_matrix,
     run_bonawitz,
 )
-from repro.secagg.field import DEFAULT_FIELD
+from repro.secagg.field import DEFAULT_FIELD, PrimeField
 from repro.secagg.kernels import (
     batched_reconstruct,
     batched_split,
@@ -24,8 +24,38 @@ from repro.secagg.kernels import (
 )
 from repro.secagg.prg import expand_mask, pairwise_delta
 from repro.secagg.shamir import LimbShares, Share
+from shamir_oracle import lagrange_weights_scalar
 
 PRIME = DEFAULT_FIELD.prime
+
+#: GF(2^61 - 1), a tiny field, and a Mersenne prime beyond 64 bits.
+WEIGHT_FIELDS = [
+    DEFAULT_FIELD,
+    PrimeField(prime=101),
+    PrimeField(prime=(1 << 89) - 1),
+]
+
+
+@st.composite
+def point_sets(draw):
+    """A field, ``t`` in 1..64 distinct points in ``(0, p)``, and a
+    uniform degree-``t - 1`` polynomial (lowest coefficient first)."""
+    field = draw(st.sampled_from(WEIGHT_FIELDS))
+    top = field.prime - 1
+    xs = draw(
+        st.lists(
+            st.one_of(st.just(top), st.integers(1, top)),
+            min_size=1,
+            max_size=64,
+            unique=True,
+        )
+    )
+    coefficients = draw(
+        st.lists(
+            st.integers(0, top), min_size=len(xs), max_size=len(xs)
+        )
+    )
+    return field, xs, coefficients
 
 
 @pytest.fixture
@@ -146,6 +176,18 @@ class TestBatchedShamirKernels:
         weights = lagrange_weights_at_zero(xs, PRIME)
         acc = sum(int(w) * f(int(x)) for w, x in zip(weights, xs)) % PRIME
         assert acc == 5
+
+    @given(case=point_sets())
+    @settings(max_examples=80, deadline=None)
+    def test_weights_match_scalar_oracle_property(self, case):
+        field, xs, coefficients = case
+        weights = lagrange_weights_at_zero(xs, field.prime)
+        assert weights == lagrange_weights_scalar(xs, field)
+        values = [field.evaluate_polynomial(coefficients, x) for x in xs]
+        assert (
+            sum(w * y for w, y in zip(weights, values)) % field.prime
+            == coefficients[0]
+        )
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(AggregationError, match="duplicate"):

@@ -13,13 +13,13 @@ from repro.secagg.shamir import (
     Share,
     reconstruct_large_secret,
     reconstruct_secret,
-    reconstruct_secret_scalar,
     reconstruct_secrets,
     split_large_secret,
     split_secret,
     split_secret_scalar,
     split_secrets,
 )
+from shamir_oracle import reconstruct_secret_scalar
 
 FIELD = PrimeField(prime=(1 << 61) - 1)
 
@@ -197,8 +197,8 @@ class TestLargeSecrets:
 
 
 class TestScalarVectorEquivalence:
-    """The retained scalar reference path and the vectorised kernels
-    must agree share-for-share and secret-for-secret."""
+    """The scalar split, the vectorised split, the scalar oracle and
+    the production reconstruction agree secret-for-secret."""
 
     @given(
         secret=st.integers(min_value=0, max_value=FIELD.prime - 1),
@@ -261,7 +261,7 @@ class TestScalarVectorEquivalence:
         xs = [int(j) + 1 for j in subset]
         rows = [[int(matrix[i, j]) for j in subset] for i in range(num_secrets)]
         assert reconstruct_secrets(xs, rows) == secrets
-        # Row-by-row agreement with the scalar reference reconstruction.
+        # Row-by-row agreement with the scalar oracle reconstruction.
         for i in range(num_secrets):
             assert reconstruct_secret_scalar(
                 [Share(x=x, y=y) for x, y in zip(xs, rows[i])]
@@ -272,6 +272,19 @@ class TestScalarVectorEquivalence:
         shares = split_secret(42, 3, 7, rng, field)
         assert reconstruct_secret(shares[2:5], field) == 42
         assert reconstruct_secret_scalar(shares[2:5], field) == 42
+
+    def test_field_above_limb_kernels_roundtrip(self, rng):
+        # Split takes the scalar loop here; reconstruction takes the one
+        # exact-integer path every field shares.
+        field = PrimeField(prime=(1 << 62) - 57)
+        secrets = [field.prime - 1, 0, 123456789]
+        matrix = split_secrets(secrets, 4, 6, rng, field)
+        xs = [2, 3, 5, 6]
+        rows = [[int(matrix[i, x - 1]) for x in xs] for i in range(3)]
+        assert reconstruct_secrets(xs, rows, field) == secrets
+        shares = [Share(x=x, y=y) for x, y in zip(xs, rows[0])]
+        assert reconstruct_secret(shares, field) == secrets[0]
+        assert reconstruct_secret_scalar(shares, field) == secrets[0]
 
     def test_scalar_and_vector_validation_parity(self, rng):
         for split in (split_secret, split_secret_scalar):
